@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         print(f"  best clique {index}: edges to remainder {value} >= {bounds.best_clique_edges}")
         print(f"  attachment fraction {an.z[p - 1]} >= {bounds.attachment_fraction}")
         print(f"  touching saturating {ell1} >= {bounds.touching_saturating}")
-        print(f"  inside saturating {ell2} <= {bounds.inside_saturating}")
+        print(f"  inside saturating {ell2} >= {bounds.inside_saturating}")
     return 0
 
 

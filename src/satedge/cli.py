@@ -48,7 +48,7 @@ from .search import (
     min_saturating_at_jump,
     min_saturating_constrained,
 )
-from .formulas import formula_table
+from .formulas import CheckFailedError, formula_table
 from .verify import failures, reports_to_csv, reports_to_json, verify_all_small
 
 
@@ -102,15 +102,15 @@ def load_config(path: Optional[str], env: Optional[dict] = None) -> Config:
             cfg = replace(cfg, threads=int(env["SATEDGE_THREADS"]))
         except ValueError as exc:
             raise ConfigError(f"SATEDGE_THREADS: {exc}") from exc
-    if cfg.output_format not in ("json", "csv", "text"):
-        raise ConfigError(f"output_format must be json, csv, or text, not {cfg.output_format!r}")
+    if cfg.output_format not in ("json", "csv"):
+        raise ConfigError(f"output_format must be json or csv, not {cfg.output_format!r}")
     if cfg.threads < 1 or cfg.search_budget < 1 or cfg.pack_budget < 1 or cfg.vertex_cap < 1:
         raise ConfigError("budgets, threads, and vertex_cap must be positive")
     return cfg
 
 
 def _read_graph(path: str, cap: int) -> Graph:
-    """Auto-detects graph6 vs 'n m' edge-list input by the first line."""
+    """Reads one graph; auto-detects graph6 vs 'n m' edge-list input by the first line."""
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -119,10 +119,13 @@ def _read_graph(path: str, cap: int) -> Graph:
     stripped = text.strip()
     if not stripped:
         raise ValueError("empty graph input")
-    first = stripped.splitlines()[0].split()
+    lines = [ln for ln in stripped.splitlines() if ln.strip()]
+    first = lines[0].split()
     if len(first) == 2 and all(tok.lstrip("-").isdigit() for tok in first):
         return parse_edge_list(stripped, cap=cap)
-    return graph6_decode(stripped.splitlines()[0], cap=cap)
+    if len(lines) > 1:
+        raise ValueError(f"graph6 input has {len(lines)} non-empty lines; give one graph per input")
+    return graph6_decode(lines[0], cap=cap)
 
 
 def _emit_graph(g: Graph, fmt: str):
@@ -162,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--refine", action="store_true", help="drive remainder edges to a local maximum")
     pk.add_argument("--analyze", type=int, metavar="INDEX", help="also emit the partition analysis of one clique")
     pk.add_argument("--budget", type=int)
-    pk.add_argument("--threads", type=int)
 
     s = sub.add_parser("search", help="exhaustive minimum saturating count")
     s.add_argument("--n", type=int, required=True)
@@ -184,12 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--small", action="store_true", help="desk-scale default suite (the only scope)")
     v.add_argument("--seed", type=int, default=7)
     v.add_argument("--format", choices=["json", "csv"], help="report format (default from config)")
-    v.add_argument("--threads", type=int)
     return parser
 
 
 def _threads(args, cfg: Config) -> int:
-    flag = getattr(args, "threads", None)
+    flag = args.threads
     if flag is not None:
         if flag < 1:
             raise ConfigError("threads must be positive")
@@ -298,7 +299,7 @@ def _cmd_formulas(args, cfg: Config) -> int:
 
 def _cmd_verify(args, cfg: Config) -> int:
     reports = verify_all_small(seed=args.seed)
-    fmt = args.format or ("csv" if cfg.output_format == "csv" else "json")
+    fmt = args.format or cfg.output_format
     if fmt == "csv":
         print(reports_to_csv(reports), end="")
     else:
@@ -332,7 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except (CliquePresentError, TrimError) as exc:
+    except (CliquePresentError, TrimError, CheckFailedError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (ConfigError, InfeasibleError, ValueError, OSError) as exc:

@@ -27,6 +27,7 @@ from .graph import (
     build_graph,
     contains_clique,
 )
+from .saturation import count_saturating
 
 
 def turan_graph(n: int, r: int) -> Graph:
@@ -239,10 +240,8 @@ def h2_surplus(p: int, x: int, y: int) -> int:
     Equals (p-2)^3 x + t_{p-1}(y+1) - t_{p-1}(y) where t is the balanced
     multipartite edge count on p-1 parts.
     """
-    r = p - 1
     ty1 = turan_number(y + 1, p)
     ty = turan_number(y, p)
-    del r
     return (p - 2) ** 3 * x + ty1 - ty
 
 
@@ -258,8 +257,6 @@ def trim_to_target(bu: Blowup, target: int) -> Graph:
     K_{p+1}-saturating edges is unchanged, which is re-verified after every
     single removal.  Raises TrimError if the scan cannot reach the target.
     """
-    from .saturation import count_saturating
-
     g = bu.graph
     if target > g.m:
         raise TrimError(f"target {target} exceeds edge count {g.m}")

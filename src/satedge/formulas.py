@@ -14,6 +14,13 @@ from fractions import Fraction
 from .constructions import modulus
 
 
+class CheckFailedError(Exception):
+    """An exact mathematical identity or bound failed to hold.
+
+    Unlike an `assert`, the check is not stripped by `python -O`.
+    """
+
+
 def _q(p: int) -> int:
     return 4 * p * p - 11 * p + 8
 
@@ -137,7 +144,9 @@ def defect_factor(n: int, p: int, r: Fraction, delta: Fraction) -> Fraction:
         + Fraction(p * (2 * p - 3), 2 * (p - 1) ** 2)
         + Fraction(1, 2) / (r * n)
     )
-    assert f >= -Fraction(p - 2, (p - 1) ** 2) / r
+    floor = -Fraction(p - 2, (p - 1) ** 2) / r
+    if f < floor:
+        raise CheckFailedError(f"defect factor {f} is below its floor {floor}")
     return f
 
 
@@ -214,7 +223,7 @@ def positivity_sweep(p_max: int) -> tuple[Fraction, Fraction]:
         f10 = 40 * p ** 4 - 324 * p ** 3 + 971 * p * p - 1288 * p + 640
         g = 476 * p ** 5 - 3877 * p ** 4 + 11651 * p ** 3 - 15479 * p * p + 7705 * p - 8
         if f10 < 0 or g < 0:
-            raise AssertionError(f"positivity fails at p = {p}: 10f = {f10}, g = {g}")
+            raise CheckFailedError(f"positivity fails at p = {p}: 10f = {f10}, g = {g}")
         if min_f10 is None or f10 < min_f10:
             min_f10 = f10
         if min_g is None or g < min_g:

@@ -96,6 +96,32 @@ class Graph:
         adj[v] |= 1 << u
         return Graph(self.n, tuple(adj))
 
+    def clique_in(self, mask: VertexSet, k: int) -> Optional[tuple[int, ...]]:
+        """Some k-clique inside `mask`, or None.  Searches twin representatives."""
+        if k <= 0:
+            return ()
+        adj = self.adj
+        out: list[int] = []
+
+        def rec(cand: int, need: int) -> bool:
+            if need == 0:
+                return True
+            while cand:
+                if cand.bit_count() < need:
+                    return False
+                low = cand & -cand
+                v = low.bit_length() - 1
+                out.append(v)
+                if rec(cand & adj[v], need - 1):
+                    return True
+                out.pop()
+                cand ^= low
+            return False
+
+        if rec(_reduce_by_twins(self, mask), k):
+            return tuple(out)
+        return None
+
     def twin_classes(self) -> tuple[VertexSet, ...]:
         """Masks of false-twin classes (identical neighborhoods), cached.
 
@@ -187,47 +213,20 @@ def _reduce_by_twins(g: Graph, mask: VertexSet) -> VertexSet:
     return out
 
 
-def _find_clique_in(g: Graph, mask: VertexSet, k: int) -> Optional[tuple[int, ...]]:
-    """Some k-clique inside `mask`, or None.  Searches twin representatives."""
-    if k <= 0:
-        return ()
-    cand = _reduce_by_twins(g, mask)
-    adj = g.adj
-    out: list[int] = []
-
-    def rec(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        while cand:
-            if cand.bit_count() < need:
-                return False
-            low = cand & -cand
-            v = low.bit_length() - 1
-            out.append(v)
-            if rec(cand & adj[v], need - 1):
-                return True
-            out.pop()
-            cand ^= low
-        return False
-
-    if rec(cand, k):
-        return tuple(out)
-    return None
-
-
 def find_clique(g: Graph, p: int) -> Optional[tuple[int, ...]]:
     """A witness p-clique of g, or None."""
     if p < 1:
         raise ValueError("clique size must be >= 1")
-    return _find_clique_in(g, g.vertices_mask(), p)
+    return g.clique_in(g.vertices_mask(), p)
 
 
 def contains_clique(g: Graph, p: int) -> bool:
     return find_clique(g, p) is not None
 
 
-def enumerate_cliques(g: Graph, p: int) -> Iterator[tuple[int, ...]]:
-    """All p-cliques as sorted tuples, in lexicographic order.
+def enumerate_cliques(g: Graph, p: int, mask: Optional[VertexSet] = None) -> Iterator[tuple[int, ...]]:
+    """All p-cliques inside `mask` (default: every vertex) as sorted tuples,
+    in lexicographic order.
 
     Ordered expansion over increasing vertex labels with a population-count
     prune; no twin collapsing here since every clique must be emitted.
@@ -235,7 +234,6 @@ def enumerate_cliques(g: Graph, p: int) -> Iterator[tuple[int, ...]]:
     if p < 1:
         raise ValueError("clique size must be >= 1")
     adj = g.adj
-    full = g.vertices_mask()
 
     def rec(prefix: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
         need = p - len(prefix)
@@ -250,7 +248,7 @@ def enumerate_cliques(g: Graph, p: int) -> Iterator[tuple[int, ...]]:
             cand ^= low
             yield from rec(prefix + (v,), cand & adj[v])
 
-    yield from rec((), full)
+    yield from rec((), g.vertices_mask() if mask is None else mask)
 
 
 # graph6 interchange format (canonical ASCII encoding of simple graphs).

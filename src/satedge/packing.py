@@ -23,15 +23,20 @@ from .graph import (
     bits,
     common_neighborhood,
     edges_between,
+    enumerate_cliques,
     find_clique,
     induced_edges,
     mask_of,
 )
 from .constructions import turan_defect, turan_number
-from .formulas import attachment_fraction_bound, best_clique_edge_bound
-from .saturation import CliquePresentError, count_saturating
+from .formulas import CheckFailedError, attachment_fraction_bound, best_clique_edge_bound
+from .saturation import CliquePresentError, count_saturating, is_saturating
 
 DEFAULT_PACKING_BUDGET = 5_000_000
+
+# upper_bound ranks live vertices by how many p-cliques they lie on, counted
+# only up to this cap.
+_CLIQUES_AT_CAP = 512
 
 
 class BudgetExceededError(RuntimeError):
@@ -105,26 +110,6 @@ def packing_from_json(host: Graph, text: str) -> CliquePacking:
     return packing
 
 
-def _cliques_within(g: Graph, mask: VertexSet, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-cliques inside `mask`, sorted tuples in lexicographic order."""
-    adj = g.adj
-
-    def rec(prefix: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
-        need = k - len(prefix)
-        if need == 0:
-            yield prefix
-            return
-        while cand:
-            if cand.bit_count() < need:
-                return
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            yield from rec(prefix + (v,), cand & adj[v])
-
-    yield from rec((), mask)
-
-
 class _PackSearch:
     """Two-phase exact search: optimal size, then the least witness."""
 
@@ -146,14 +131,14 @@ class _PackSearch:
         # pool's lowest vertex is the branch vertex; all other members are above it
         low = pool & -pool
         v = low.bit_length() - 1
-        for rest in _cliques_within(self.g, pool & self.g.adj[v], self.p - 1):
+        for rest in enumerate_cliques(self.g, self.p - 1, pool & self.g.adj[v]):
             yield (v,) + rest
 
-    def _cliques_at(self, v: int, live: VertexSet, cap: int = 512) -> int:
+    def _cliques_at(self, v: int, live: VertexSet) -> int:
         count = 0
-        for _ in _cliques_within(self.g, live & self.g.adj[v], self.p - 1):
+        for _ in enumerate_cliques(self.g, self.p - 1, live & self.g.adj[v]):
             count += 1
-            if count >= cap:
+            if count >= _CLIQUES_AT_CAP:
                 break
         return count
 
@@ -170,7 +155,7 @@ class _PackSearch:
         hits = 0
         while hits <= cutoff:
             self._tick()
-            if next(_cliques_within(g, live, self.p), None) is None:
+            if next(enumerate_cliques(g, self.p, live), None) is None:
                 return hits
             best_v, best_c = -1, -1
             for v in bits(live):
@@ -192,6 +177,12 @@ class _PackSearch:
                 out.append(c)
                 pool &= ~mask_of(c)
         return out
+
+    def optimum(self) -> int:
+        """The maximum packing size: a greedy seed, then max_size over all vertices."""
+        self.best = len(self.greedy())
+        self.max_size(self.g.vertices_mask(), 0)
+        return self.best
 
     def max_size(self, pool: VertexSet, current: int):
         self._tick()
@@ -234,12 +225,10 @@ def max_packing(g: Graph, p: int, budget: int = DEFAULT_PACKING_BUDGET) -> Cliqu
     if p < 2:
         raise ValueError("need p >= 2")
     search = _PackSearch(g, p, budget)
-    seed = search.greedy()
-    search.best = len(seed)
-    search.max_size(g.vertices_mask(), 0)
-    if search.best == 0:
+    target = search.optimum()
+    if target == 0:
         return make_packing(g, p, [], certified=True)
-    found = search.witness(g.vertices_mask(), [], search.best)
+    found = search.witness(g.vertices_mask(), [], target)
     assert found is not None
     return make_packing(g, p, found, certified=True)
 
@@ -311,7 +300,7 @@ def refine_packing(packing: CliquePacking) -> CliquePacking:
                     else:
                         cand = h_mask
                     out_mask = mask_of(c_out)
-                    for c_in in _cliques_within(g, cand, c_size):
+                    for c_in in enumerate_cliques(g, c_size, cand):
                         new_h = (h_mask & ~mask_of(c_in)) | out_mask
                         if induced_edges(g, new_h) > h_edges:
                             current = switch(current, index, c_out, c_in)
@@ -373,28 +362,34 @@ def analyze(packing: CliquePacking, index: int) -> PackingAnalysis:
     z_masks = [0] * (p + 1)
     for v in bits(packing.remainder):
         z_masks[(g.adj[v] & r_mask).bit_count()] |= 1 << v
-    assert z_masks[p] == 0
+    if z_masks[p]:
+        raise CheckFailedError(f"remainder vertices {sorted(bits(z_masks[p]))} see all of {clique}")
     z = tuple(Fraction(m.bit_count(), n) for m in z_masks)
     r = packing.density
-    assert sum(z[:p]) == 1 - p * r
+    if sum(z[:p]) != 1 - p * r:
+        raise CheckFailedError(f"sum z_j = {sum(z[:p])} differs from 1 - p r = {1 - p * r}")
 
     a_masks = []
     for i in range(p):
         rest = r_mask ^ (1 << clique[i])
         a_masks.append(common_neighborhood(g, rest) & packing.remainder)
     seen = 0
-    for a in a_masks:
-        assert a & seen == 0
-        assert a & ~z_masks[p - 1] == 0
-        assert induced_edges(g, a) == 0
+    for i, a in enumerate(a_masks):
+        if a & seen:
+            raise CheckFailedError(f"A_{i} meets an earlier attachment set")
+        if a & ~z_masks[p - 1]:
+            raise CheckFailedError(f"A_{i} is not inside Z_{p - 1}")
+        if induced_edges(g, a):
+            raise CheckFailedError(f"A_{i} is not independent")
         seen |= a
-    assert sum(Fraction(a.bit_count(), n) for a in a_masks) == z[p - 1]
-    from .saturation import is_saturating
+    a_total = sum(Fraction(a.bit_count(), n) for a in a_masks)
+    if a_total != z[p - 1]:
+        raise CheckFailedError(f"sum |A_i|/n = {a_total} differs from z_{p - 1} = {z[p - 1]}")
 
-    for a in a_masks:
-        members = list(bits(a))
-        for u, v in combinations(members, 2):
-            assert is_saturating(g, p + 1, u, v)
+    for i, a in enumerate(a_masks):
+        for u, v in combinations(bits(a), 2):
+            if not is_saturating(g, p + 1, u, v):
+                raise CheckFailedError(f"pair ({u},{v}) inside A_{i} is not saturating")
 
     ell1, ell2 = ell_split(packing)
     return PackingAnalysis(
@@ -434,13 +429,17 @@ def best_r_star(packing: CliquePacking) -> tuple[int, int]:
 
     delta = turan_defect(n, p)
     r = packing.density
-    assert best_value >= best_clique_edge_bound(n, p, r, delta)
+    edge_bound = best_clique_edge_bound(n, p, r, delta)
+    if best_value < edge_bound:
+        raise CheckFailedError(f"best clique has {best_value} remainder edges, below the bound {edge_bound}")
     clique_mask = mask_of(packing.cliques[best_index])
     z_top = 0
     for v in bits(packing.remainder):
         if (g.adj[v] & clique_mask).bit_count() == p - 1:
             z_top += 1
-    assert Fraction(z_top, n) >= attachment_fraction_bound(n, p, r, delta)
+    z_bound = attachment_fraction_bound(n, p, r, delta)
+    if Fraction(z_top, n) < z_bound:
+        raise CheckFailedError(f"attachment fraction {Fraction(z_top, n)} is below the bound {z_bound}")
     return best_index, best_value
 
 
@@ -453,9 +452,7 @@ def _best_remainder_walk(g: Graph, p: int, budget: int) -> tuple[int, int, tuple
     general; intended for hosts of a dozen-odd vertices.
     """
     search = _PackSearch(g, p, budget)
-    search.best = len(search.greedy())
-    search.max_size(g.vertices_mask(), 0)
-    target = search.best
+    target = search.optimum()
     full = g.vertices_mask()
     if target == 0:
         return 0, g.m, ()
@@ -480,14 +477,12 @@ def _best_remainder_walk(g: Graph, p: int, budget: int) -> tuple[int, int, tuple
             return
         if search.upper_bound(pool, need - 1) < need:
             return
-        low = pool & -pool
-        v = low.bit_length() - 1
-        for rest in _cliques_within(g, pool & g.adj[v], p - 1):
-            cm = mask_of(rest) | low
-            acc.append((v,) + rest)
+        for c in search._cliques_through_lowest(pool):
+            cm = mask_of(c)
+            acc.append(c)
             walk(pool & ~cm, packed | cm, size + 1)
             acc.pop()
-        walk(pool ^ low, packed, size)
+        walk(pool ^ (pool & -pool), packed, size)
 
     walk(full, 0, 0)
     return target, best_edges, best_family

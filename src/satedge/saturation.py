@@ -10,10 +10,12 @@ from __future__ import annotations
 import json
 import multiprocessing
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .graph import Graph, _find_clique_in
-from .constructions import Blowup
+from .graph import Graph
+
+if TYPE_CHECKING:
+    from .constructions import Blowup
 
 
 class CliquePresentError(ValueError):
@@ -42,7 +44,7 @@ def is_saturating(g: Graph, p: int, u: int, v: int) -> bool:
         raise ValueError(f"invalid vertex pair ({u},{v})")
     if g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is an edge, not a candidate pair")
-    return _find_clique_in(g, g.adj[u] & g.adj[v], p - 2) is not None
+    return g.clique_in(g.adj[u] & g.adj[v], p - 2) is not None
 
 
 def _count_range(g: Graph, p: int, lo: int, hi: int, want_edges: bool):
@@ -58,7 +60,7 @@ def _count_range(g: Graph, p: int, lo: int, hi: int, want_edges: bool):
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
-            if _find_clique_in(g, adj[u] & adj[v], p - 2) is not None:
+            if g.clique_in(adj[u] & adj[v], p - 2) is not None:
                 total += 1
                 if want_edges:
                     found.append((u, v))
@@ -76,7 +78,7 @@ def count_saturating(g: Graph, p: int, *, edges: bool = False, threads: int = 1)
         raise ValueError("need p >= 3")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    witness = _find_clique_in(g, g.vertices_mask(), p)
+    witness = g.clique_in(g.vertices_mask(), p)
     if witness is not None:
         raise CliquePresentError(f"graph already contains a {p}-clique {witness}")
     if threads == 1 or g.n < 64:

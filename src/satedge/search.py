@@ -17,13 +17,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import (
-    Graph,
-    _find_clique_in,
-    bits,
-    graph6_decode,
-    graph6_encode,
-)
+from .graph import Graph, bits, graph6_decode, graph6_encode
 from .constructions import turan_graph, turan_number
 from .saturation import count_saturating
 
@@ -173,7 +167,7 @@ def _generate_classes(
                 m2 = g.m + s.bit_count()
                 if m2 > e_max or m2 + future < e_min:
                     continue
-                if _find_clique_in(g, s, p - 1) is not None:
+                if g.clique_in(s, p - 1) is not None:
                     continue
                 nbhds.append(s)
             granted = budget.take(len(nbhds))
@@ -234,6 +228,42 @@ def _validate_instance(n: int, e: int, p: int):
         )
 
 
+def _minimise(
+    reps: list[Graph],
+    n: int,
+    e: int,
+    p: int,
+    explored: int,
+    exact: bool,
+    excluded: Optional[str] = None,
+) -> SearchResult:
+    """The least saturating count over the classes in `reps` with e edges.
+
+    Witnesses are the canonical graph6 strings of every minimising class;
+    the class whose graph6 string is `excluded` is skipped.
+    """
+    best: Optional[int] = None
+    witnesses: list[str] = []
+    for g in reps:
+        if g.m != e or (excluded is not None and graph6_encode(g) == excluded):
+            continue
+        total = count_saturating(g, p).total
+        if best is None or total < best:
+            best = total
+            witnesses = [graph6_encode(g)]
+        elif total == best:
+            witnesses.append(graph6_encode(g))
+    return SearchResult(
+        n=n,
+        e=e,
+        p=p,
+        minimum=best,
+        witnesses=tuple(sorted(witnesses)),
+        explored=explored,
+        exact=exact,
+    )
+
+
 def min_saturating(
     n: int,
     e: int,
@@ -250,26 +280,7 @@ def min_saturating(
     _validate_instance(n, e, p)
     tracker = _Budget(budget)
     reps, exact = _generate_classes(n, p, e, e, tracker, threads)
-    best: Optional[int] = None
-    witnesses: list[str] = []
-    for g in reps:
-        if g.m != e:
-            continue
-        total = count_saturating(g, p).total
-        if best is None or total < best:
-            best = total
-            witnesses = [graph6_encode(g)]
-        elif total == best:
-            witnesses.append(graph6_encode(g))
-    return SearchResult(
-        n=n,
-        e=e,
-        p=p,
-        minimum=best,
-        witnesses=tuple(sorted(witnesses)),
-        explored=tracker.spent,
-        exact=exact,
-    )
+    return _minimise(reps, n, e, p, tracker.spent, exact)
 
 
 def min_saturating_table(
@@ -286,27 +297,10 @@ def min_saturating_table(
     by_edges: dict[int, list[Graph]] = {}
     for g in reps:
         by_edges.setdefault(g.m, []).append(g)
-    out: dict[int, SearchResult] = {}
-    for e in range(e_max + 1):
-        best: Optional[int] = None
-        witnesses: list[str] = []
-        for g in by_edges.get(e, []):
-            total = count_saturating(g, p).total
-            if best is None or total < best:
-                best = total
-                witnesses = [graph6_encode(g)]
-            elif total == best:
-                witnesses.append(graph6_encode(g))
-        out[e] = SearchResult(
-            n=n,
-            e=e,
-            p=p,
-            minimum=best,
-            witnesses=tuple(sorted(witnesses)),
-            explored=tracker.spent,
-            exact=exact,
-        )
-    return out
+    return {
+        e: _minimise(by_edges.get(e, []), n, e, p, tracker.spent, exact)
+        for e in range(e_max + 1)
+    }
 
 
 def min_saturating_at_jump(
@@ -331,23 +325,4 @@ def min_saturating_constrained(
     tracker = _Budget(budget)
     reps, exact = _generate_classes(n, p + 1, e, e, tracker, threads)
     excluded = canonical_key(turan_graph(n, p - 1))
-    best: Optional[int] = None
-    witnesses: list[str] = []
-    for g in reps:
-        if g.m != e or graph6_encode(g) == excluded:
-            continue
-        total = count_saturating(g, p + 1).total
-        if best is None or total < best:
-            best = total
-            witnesses = [graph6_encode(g)]
-        elif total == best:
-            witnesses.append(graph6_encode(g))
-    return SearchResult(
-        n=n,
-        e=e,
-        p=p + 1,
-        minimum=best,
-        witnesses=tuple(sorted(witnesses)),
-        explored=tracker.spent,
-        exact=exact,
-    )
+    return _minimise(reps, n, e, p + 1, tracker.spent, exact, excluded)

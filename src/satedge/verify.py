@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .graph import Graph, bits, contains_clique, mask_of
+from .graph import Graph, bits, common_neighborhood, contains_clique, enumerate_cliques, mask_of
 from .constructions import (
     check_construction_edge_identity,
     h1,
@@ -29,6 +29,9 @@ from .constructions import (
 )
 from .saturation import count_saturating
 from .formulas import (
+    CheckFailedError,
+    attachment_fraction_bound,
+    best_clique_edge_bound,
     check_density_quadratic_identity,
     density_threshold_high,
     density_threshold_low,
@@ -46,13 +49,13 @@ from .formulas import (
 from .packing import (
     BudgetExceededError,
     CliquePacking,
-    _cliques_within,
     analyze,
     best_r_star,
     check_switch_inequality,
     max_packing,
     refine_packing,
 )
+from .search import min_saturating
 
 
 @dataclass(frozen=True)
@@ -141,12 +144,10 @@ def random_kpfree_graph(n: int, p: int, seed: int, target_edges: Optional[int] =
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     g = Graph(n, (0,) * n)
-    from .graph import _find_clique_in
-
     for u, v in pairs:
         if target_edges is not None and g.m >= target_edges:
             break
-        if _find_clique_in(g, g.adj[u] & g.adj[v], p - 2) is None:
+        if g.clique_in(g.adj[u] & g.adj[v], p - 2) is None:
             g = g.with_edge(u, v)
     return g
 
@@ -247,8 +248,6 @@ def _sample_switches(
     out: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
     if not pk.cliques:
         return out
-    from .graph import common_neighborhood
-
     for _ in range(trials * 4):
         if len(out) >= trials:
             break
@@ -258,7 +257,7 @@ def _sample_switches(
         c_out = tuple(sorted(rng.sample(clique, c_size)))
         kept = set(clique) - set(c_out)
         cand = common_neighborhood(g, mask_of(kept)) & pk.remainder if kept else pk.remainder
-        options = list(_cliques_within(g, cand, c_size))
+        options = list(enumerate_cliques(g, c_size, cand))
         if options:
             out.append((index, c_out, options[rng.randrange(len(options))]))
     return out
@@ -297,7 +296,7 @@ def verify_packing_lemmas(g: Graph, p: int, trials: int = 20, seed: int = 0) -> 
         t0 = time.perf_counter()
         try:
             an = analyze(refined, index)
-        except AssertionError:
+        except CheckFailedError:
             reports.append(_check("z-a-partition-identities", {**params, "index": index}, False, started=t0))
             continue
         ok = sum(an.z[:p]) == 1 - p * r and sum(Fraction(a.bit_count(), n) for a in an.A) == an.z[p - 1]
@@ -330,8 +329,6 @@ def verify_packing_lemmas(g: Graph, p: int, trials: int = 20, seed: int = 0) -> 
         t0 = time.perf_counter()
         delta = turan_defect(n, p)
         index, value = best_r_star(refined)
-        from .formulas import attachment_fraction_bound, best_clique_edge_bound
-
         bound = best_clique_edge_bound(n, p, r, delta)
         reports.append(_check("best-clique-edge-bound", params, Fraction(value) >= bound, value, str(bound), started=t0))
         t0 = time.perf_counter()
@@ -379,7 +376,7 @@ def verify_appendices(p_max: int = 100, n_samples: Sequence[int] = (1, 2, 66, 10
         reports.append(
             _check("positivity-sweep", {"p_max": 10 ** 4}, True, str(margin_f), str(margin_g), started=t0)
         )
-    except AssertionError as exc:
+    except CheckFailedError as exc:
         reports.append(CheckReport("positivity-sweep", {"p_max": 10 ** 4}, "fail", reason=str(exc)))
 
     t0 = time.perf_counter()
@@ -444,8 +441,6 @@ def verify_all_small(seed: int = 7) -> list[CheckReport]:
         g = random_kpfree_graph(n, 4, seed=seed + i, target_edges=turan_number(n, 4) - n)
         reports += verify_packing_lemmas(g, 3, trials=10, seed=seed + i)
     reports += verify_appendices(p_max=60)
-    from .search import min_saturating
-
     t0 = time.perf_counter()
     zero = min_saturating(6, 9, 4)
     reports.append(

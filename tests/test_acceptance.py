@@ -24,12 +24,12 @@ from satedge.formulas import (
 from satedge.graph import (
     common_neighborhood,
     contains_clique,
+    enumerate_cliques,
     graph6_encode,
     induced_edges,
     mask_of,
 )
 from satedge.packing import (
-    _cliques_within,
     analyze,
     check_switch_inequality,
     ell_split,
@@ -137,7 +137,7 @@ def test_criterion_6_switch_inequality_on_certified_packings():
                     cand = pk.remainder
                     if kept:
                         cand &= common_neighborhood(g, mask_of(kept))
-                    for c_in in _cliques_within(g, cand, size):
+                    for c_in in enumerate_cliques(g, size, cand):
                         lhs, rhs, ok = check_switch_inequality(pk, index, c_out, c_in)
                         assert ok, (n, i, index, c_out, c_in, lhs, rhs)
                         switches += 1

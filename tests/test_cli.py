@@ -61,6 +61,7 @@ def test_load_config_env_fallback_and_precedence(tmp_path):
         "threads=zero\n",
         "threads=0\n",
         "output_format=yaml\n",
+        "output_format=text\n",
     ],
 )
 def test_load_config_rejects_bad_files(tmp_path, text):
@@ -213,6 +214,16 @@ def test_count_missing_file_exits_2(capsys, tmp_path):
     assert run(capsys, ["count", "--p", "3", "--in", str(tmp_path / "nope")])[0] == 2
 
 
+@pytest.mark.parametrize("command", ["count", "pack"])
+def test_several_graph6_lines_exit_2(capsys, monkeypatch, command):
+    # path, then triangle: reading only the first line would hide the triangle
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bo\n\nBw\n"))
+    code, out, err = run(capsys, [command, "--p", "3"])
+    assert code == 2
+    assert out == ""
+    assert "2 non-empty lines" in err
+
+
 # -- pack ---------------------------------------------------------------
 
 
@@ -241,6 +252,15 @@ def test_pack_analyze_emits_partition(capsys, tmp_path, h1_310):
 def test_pack_analyze_out_of_range_exits_2(capsys, tmp_path, prism):
     path = write_graph(tmp_path, prism)
     assert run(capsys, ["pack", "--p", "3", "--in", path, "--analyze", "5"])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["pack", "--p", "3", "--threads", "2"], ["verify", "--threads", "2"]], ids=["pack", "verify"]
+)
+def test_threads_flag_is_unknown_where_unused(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_pack_budget_exhaustion_exits_3(capsys, tmp_path, h1_310):

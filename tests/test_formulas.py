@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +175,23 @@ def test_defect_factor_floor():
             for r in (Fraction(1, n), Fraction(1, 20), Fraction(1, p)):
                 f = defect_factor(n, p, r, delta)
                 assert f >= -Fraction(p - 2, (p - 1) ** 2) / r
+
+
+def test_defect_factor_floor_is_checked_under_optimize():
+    # a huge negative delta pushes F below its floor; `python -O` strips asserts
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "from fractions import Fraction\n"
+        "from satedge.formulas import CheckFailedError, defect_factor\n"
+        "try:\n"
+        "    print(defect_factor(10, 3, Fraction(1, 10), Fraction(-10**6)))\n"
+        "except CheckFailedError:\n"
+        "    print('CheckFailedError')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "CheckFailedError"
 
 
 def test_bound_set_fields(h1_310):

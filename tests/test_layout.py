@@ -1,0 +1,46 @@
+"""Module layout rules for the satedge package, checked on the source AST.
+
+No module imports another module's private (`_`-prefixed) name, and no
+function imports from the package inside its body: every dependency
+between modules is public and visible at the top of the importing file.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "satedge"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _package_imports(tree):
+    """(node, inside a function body) for each relative import in the tree."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and child.level > 0:
+                found.append((child, in_function))
+            visit(child, in_function or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(tree, False)
+    return found
+
+
+def test_modules_found():
+    assert {path.name for path in MODULES} >= {"graph.py", "search.py", "packing.py", "verify.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_private_or_function_local_package_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    problems = []
+    for node, in_function in _package_imports(tree):
+        where = f"{path.name}:{node.lineno}"
+        private = [alias.name for alias in node.names if alias.name.startswith("_")]
+        if private:
+            problems.append(f"{where} imports private {', '.join(private)} from .{node.module or ''}")
+        if in_function:
+            problems.append(f"{where} imports from .{node.module or ''} inside a function")
+    assert not problems, "\n".join(problems)
