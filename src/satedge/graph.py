@@ -5,10 +5,10 @@ iff vertex v is in the set); adjacency is one mask per vertex.  Python ints
 are arbitrary precision, so masks need no fixed word layout; a configurable
 vertex cap guards against accidental huge allocations.
 
-Clique existence tests collapse false twins (vertices with identical
-neighborhoods) before searching: at most one member of such a class can
-appear in any clique, so searching over one representative per class is
-exact.  Blow-up style graphs reduce to a handful of classes this way.
+False twins (identical neighborhoods) serve both the clique probe and the
+saturating count: a clique uses at most one member of a class, so the probe
+searches one representative per class, and the count probes class pairs.
+Blow-up style graphs reduce to a handful of classes this way.
 """
 
 from __future__ import annotations

@@ -229,7 +229,8 @@ def max_packing(g: Graph, p: int, budget: int = DEFAULT_PACKING_BUDGET) -> Cliqu
     if target == 0:
         return make_packing(g, p, [], certified=True)
     found = search.witness(g.vertices_mask(), [], target)
-    assert found is not None
+    if found is None:
+        raise CheckFailedError(f"no packing of size {target} found although the bound search reached it")
     return make_packing(g, p, found, certified=True)
 
 

@@ -2,7 +2,9 @@
 
 A non-edge (u, v) of a K_p-free graph G is saturating when G + uv contains
 a p-clique, i.e. when the common neighborhood of u and v holds a (p-2)-clique.
-The count over all non-edges is the graph's saturating-edge number.
+The count over all non-edges is the graph's saturating-edge number.  False
+twins share their neighborhood, so the count runs over twin classes: one
+probe on two representatives decides every pair between their classes.
 """
 
 from __future__ import annotations
@@ -10,12 +12,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-from .graph import Graph
-
-if TYPE_CHECKING:
-    from .constructions import Blowup
+from .graph import Graph, bits
 
 
 class CliquePresentError(ValueError):
@@ -47,32 +46,45 @@ def is_saturating(g: Graph, p: int, u: int, v: int) -> bool:
     return g.clique_in(g.adj[u] & g.adj[v], p - 2) is not None
 
 
-def _count_range(g: Graph, p: int, lo: int, hi: int, want_edges: bool):
-    """Count saturating pairs (u, v) with lo <= u < hi, u < v."""
-    full = g.vertices_mask()
+def _class_pairs(g: Graph, p: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Saturating twin-class pairs (i, j) with lo <= i < hi and i <= j.
+
+    Each class is probed through its lowest member: the pair (i, i) inside a
+    class of two or more, and (i, j) for every later class not adjacent to i.
+    """
+    classes = g.twin_classes()
+    reps = [(cls & -cls).bit_length() - 1 for cls in classes]
     adj = g.adj
-    total = 0
     found: list[tuple[int, int]] = []
-    for u in range(lo, hi):
-        above = full >> (u + 1) << (u + 1)
-        cand = above & ~adj[u]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            if g.clique_in(adj[u] & adj[v], p - 2) is not None:
-                total += 1
-                if want_edges:
-                    found.append((u, v))
-    return total, found
+    for i in range(lo, hi):
+        u = reps[i]
+        if classes[i] != 1 << u and g.clique_in(adj[u], p - 2) is not None:
+            found.append((i, i))
+        for j in range(i + 1, len(reps)):
+            v = reps[j]
+            if not adj[u] >> v & 1 and g.clique_in(adj[u] & adj[v], p - 2) is not None:
+                found.append((i, j))
+    return found
+
+
+def _vertex_pairs(g: Graph, class_pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs (u, v), u < v, of the given class pairs, lex-sorted."""
+    classes = g.twin_classes()
+    owner = {u: i for i, cls in enumerate(classes) for u in bits(cls)}
+    partners = [0] * len(classes)
+    for i, j in class_pairs:
+        partners[i] |= classes[j]
+        partners[j] |= classes[i]
+    return tuple((u, v) for u in range(g.n) for v in bits(partners[owner[u]] >> (u + 1) << (u + 1)))
 
 
 def count_saturating(g: Graph, p: int, *, edges: bool = False, threads: int = 1) -> SaturationReport:
     """Count (optionally list) all p-clique-saturating edges of g.
 
-    Refuses graphs that already contain a p-clique.  With threads > 1 the
-    vertex range is split across worker processes; results are identical to
-    the sequential scan, and listed edges stay in lexicographic order.
+    Refuses graphs that already contain a p-clique.  A saturating class pair
+    adds C(s, 2) inside a class of size s and |A|*|B| between classes A and
+    B.  With threads > 1 the class range is split across worker processes;
+    results are identical, and listed edges are in lexicographic order.
     """
     if p < 3:
         raise ValueError("need p >= 3")
@@ -81,31 +93,16 @@ def count_saturating(g: Graph, p: int, *, edges: bool = False, threads: int = 1)
     witness = g.clique_in(g.vertices_mask(), p)
     if witness is not None:
         raise CliquePresentError(f"graph already contains a {p}-clique {witness}")
-    if threads == 1 or g.n < 64:
-        total, found = _count_range(g, p, 0, g.n, edges)
+    size = [cls.bit_count() for cls in g.twin_classes()]
+    k = len(size)
+    if threads == 1 or k < 64:
+        found = _class_pairs(g, p, 0, k)
     else:
-        # contiguous u-ranges keep the concatenated edge lists lex-sorted
-        chunks = min(threads * 4, g.n)
-        bounds = [g.n * i // chunks for i in range(chunks + 1)]
-        args = [(g, p, bounds[i], bounds[i + 1], edges) for i in range(chunks)]
+        chunks = min(threads * 4, k)
+        bounds = [k * i // chunks for i in range(chunks + 1)]
+        args = [(g, p, bounds[i], bounds[i + 1]) for i in range(chunks)]
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=threads) as pool:
-            results = pool.starmap(_count_range, args)
-        total = sum(t for t, _ in results)
-        found = [e for _, es in results for e in es]
-    return SaturationReport(p=p, n=g.n, total=total, edges=tuple(found) if edges else None)
-
-
-def count_saturating_blowup(bu: Blowup, p: int) -> SaturationReport:
-    """Closed-form saturating count for the h0/h1/h2 family.
-
-    For these graphs the (bu.p + 1)-saturating edges are exactly the pairs
-    inside V0 and inside each V_i, so the count is a sum of binomials over
-    the V part sizes.  The U parts contribute nothing: a pair inside U_i has
-    no common neighbor in V0 or U_i, leaving at most p-2 usable parts.
-    """
-    if p != bu.p + 1:
-        raise ValueError(f"closed form is for p = {bu.p + 1}, got {p}")
-    sizes = bu.spec.sizes[: bu.p]
-    total = sum(s * (s - 1) // 2 for s in sizes)
-    return SaturationReport(p=p, n=bu.graph.n, total=total)
+            found = [pair for pairs in pool.starmap(_class_pairs, args) for pair in pairs]
+    total = sum(size[i] * (size[i] - 1) // 2 if i == j else size[i] * size[j] for i, j in found)
+    return SaturationReport(p=p, n=g.n, total=total, edges=_vertex_pairs(g, found) if edges else None)

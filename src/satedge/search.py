@@ -19,6 +19,7 @@ from typing import Optional
 
 from .graph import Graph, bits, graph6_decode, graph6_encode
 from .constructions import turan_graph, turan_number
+from .formulas import CheckFailedError
 from .saturation import count_saturating
 
 DEFAULT_SEARCH_BUDGET = 10 ** 9
@@ -97,7 +98,8 @@ def canonical_ordering(g: Graph) -> tuple[int, ...]:
             placed.pop()
 
     rec(0, True)
-    assert best_perm is not None
+    if best_perm is None:
+        raise CheckFailedError(f"no canonical ordering found for a {n}-vertex graph")
     return best_perm
 
 

@@ -372,12 +372,12 @@ def verify_appendices(p_max: int = 100, n_samples: Sequence[int] = (1, 2, 66, 10
     reports: list[CheckReport] = []
     t0 = time.perf_counter()
     try:
-        margin_f, margin_g = positivity_sweep(10 ** 4)
+        margin_f, margin_g = positivity_sweep(p_max)
         reports.append(
-            _check("positivity-sweep", {"p_max": 10 ** 4}, True, str(margin_f), str(margin_g), started=t0)
+            _check("positivity-sweep", {"p_max": p_max}, True, str(margin_f), str(margin_g), started=t0)
         )
     except CheckFailedError as exc:
-        reports.append(CheckReport("positivity-sweep", {"p_max": 10 ** 4}, "fail", reason=str(exc)))
+        reports.append(CheckReport("positivity-sweep", {"p_max": p_max}, "fail", reason=str(exc)))
 
     t0 = time.perf_counter()
     ok = all(

@@ -3,6 +3,8 @@
 No module imports another module's private (`_`-prefixed) name, and no
 function imports from the package inside its body: every dependency
 between modules is public and visible at the top of the importing file.
+No module uses `assert`, which `python -O` strips: checks raise a named
+error instead.
 """
 
 import ast
@@ -44,3 +46,10 @@ def test_no_private_or_function_local_package_imports(path):
         if in_function:
             problems.append(f"{where} imports from .{node.module or ''} inside a function")
     assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} uses assert on line(s) {lines}"

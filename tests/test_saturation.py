@@ -3,14 +3,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satedge.constructions import h1, turan_graph
+from satedge.constructions import h0, h1, h2, trim_to_target, turan_graph, turan_number
+from satedge.formulas import h1_saturating_count_binomial
 from satedge.graph import build_graph, contains_clique
-from satedge.saturation import (
-    CliquePresentError,
-    count_saturating,
-    count_saturating_blowup,
-    is_saturating,
-)
+from satedge.saturation import CliquePresentError, count_saturating, is_saturating
+from satedge.verify import random_kpfree_graph
 
 
 def kpfree_graph_strategy(max_n=12, p_range=(3, 5)):
@@ -26,6 +23,22 @@ def kpfree_graph_strategy(max_n=12, p_range=(3, 5)):
             if not contains_clique(cand, p):
                 g = cand
         return g, p
+
+    return graphs()
+
+
+def planted_twin_strategy(max_base=6):
+    """A K_p-free base graph with each vertex copied 1..4 times into an
+    independent set of false twins, the copies' labels shuffled."""
+
+    @st.composite
+    def graphs(draw):
+        base, p = draw(kpfree_graph_strategy(max_n=max_base))
+        copies = [b for b in range(base.n) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+        owner = draw(st.permutations(copies))
+        n = len(owner)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if base.has_edge(owner[u], owner[v])]
+        return build_graph(n, edges), p
 
     return graphs()
 
@@ -84,8 +97,8 @@ def test_one_step_smaller_clique_freedom_gives_zero():
         assert count_saturating(g, p).total == 0
 
 
-@settings(max_examples=100, deadline=None)
-@given(kpfree_graph_strategy())
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(kpfree_graph_strategy(), planted_twin_strategy()))
 def test_count_matches_add_edge_oracle(gp):
     g, p = gp
     report = count_saturating(g, p, edges=True)
@@ -98,20 +111,40 @@ def test_count_matches_add_edge_oracle(gp):
     assert report.total == len(oracle)
 
 
-def test_threads_match_single(h1_310):
-    g = h1_310.graph
+def test_threads_match_single():
+    g = random_kpfree_graph(72, 4, seed=0, target_edges=turan_number(72, 4) // 2)
+    assert len(g.twin_classes()) >= 64  # enough classes to take the process pool
     one = count_saturating(g, 4, edges=True, threads=1)
-    many = count_saturating(g, 4, edges=True, threads=4)
-    assert one.total == many.total == 246
+    many = count_saturating(g, 4, edges=True, threads=2)
+    assert one.total == many.total == len(one.edges)
     assert one.edges == many.edges
 
 
+# every h0/h1/h2 cell the suite builds, and the trimmed h2 hosts
+BLOWUP_CELLS = (
+    [(h0, cell, False) for cell in [(3, 1), (4, 1), (5, 1), (3, 2)]]
+    + [(h1, (p, x, y), False) for p in (3, 4, 5) for x in (1, 2) for y in (0, 1, 2)]
+    + [(h2, cell, False) for cell in [(3, 1, 0), (3, 1, 1), (4, 1, 0)]]
+    + [(h2, cell, True) for cell in [(3, 1, 0), (3, 1, 1)]]
+)
+
+
+@pytest.mark.parametrize(
+    "family,cell,trimmed",
+    BLOWUP_CELLS,
+    ids=[f"{f.__name__}-{'.'.join(map(str, cell))}{'-trimmed' if t else ''}" for f, cell, t in BLOWUP_CELLS],
+)
+def test_blowup_count_matches_pair_scan(family, cell, trimmed):
+    bu = family(*cell)
+    g = trim_to_target(bu, turan_number(bu.graph.n, bu.p) + 1) if trimmed else bu.graph
+    p = bu.p + 1
+    report = count_saturating(g, p, edges=True)
+    scan = tuple((u, v) for u, v in g.non_edges() if is_saturating(g, p, u, v))
+    assert report.total == len(scan)
+    assert report.edges == scan
+
+
 def test_blowup_count_matches_brute_force():
+    # the twin-class count against the binomial closed form over the V parts
     for p, x, y in [(3, 1, 0), (3, 1, 1), (3, 1, 2), (4, 1, 0)]:
-        bu = h1(p, x, y)
-        assert count_saturating_blowup(bu, p + 1).total == count_saturating(bu.graph, p + 1).total
-
-
-def test_blowup_count_requires_matching_p(h1_310):
-    with pytest.raises(ValueError):
-        count_saturating_blowup(h1_310, 3)
+        assert count_saturating(h1(p, x, y).graph, p + 1).total == h1_saturating_count_binomial(p, x, y)

@@ -94,6 +94,8 @@ def test_verify_appendices_pass():
     assert "positivity-sweep" in ids
     assert "density-quadratic-minimum" in ids
     assert "bracket-order" in ids
+    sweep = next(r for r in reports if r.check_id == "positivity-sweep")
+    assert sweep.params["p_max"] == 40
 
 
 def test_verify_all_small_green():
