@@ -205,8 +205,11 @@ def induced_edges(g: Graph, mask: VertexSet) -> int:
 
 def _reduce_by_twins(g: Graph, mask: VertexSet) -> VertexSet:
     """One representative (lowest member in mask) per twin class."""
+    classes = g.twin_classes()
+    if len(classes) == g.n:
+        return mask  # twin-free: every class is a singleton
     out = 0
-    for cls in g.twin_classes():
+    for cls in classes:
         hit = cls & mask
         if hit:
             out |= hit & -hit

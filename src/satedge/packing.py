@@ -1,7 +1,11 @@
 """Exact maximum vertex-disjoint clique packings and their local analysis.
 
 A packing is a family of pairwise disjoint p-cliques; the remainder is the
-rest of the host.  Beyond maximum cardinality, the machinery here supports
+rest of the host.  One depth-first enumerator yields the packings of a given
+size in lexicographic order, pruned by a greedy hitting-set bound; the
+maximum packing, the best-remainder packing and its certificate all walk it.
+It keeps an explicit stack, so host size does not bound its depth.
+Beyond maximum cardinality, the machinery here supports
 the remainder-edge refinement (switch a packed clique with an equal-size
 clique outside and keep only strict remainder-edge gains), the neighbor-count
 partition Z_j of the remainder relative to one packed clique, the attachment
@@ -111,14 +115,17 @@ def packing_from_json(host: Graph, text: str) -> CliquePacking:
 
 
 class _PackSearch:
-    """Two-phase exact search: optimal size, then the least witness."""
+    """Exact packing search: one depth-first enumerator of fixed-size packings.
+
+    Every node and every upper-bound step is charged to one node counter
+    against one budget, whichever caller drives the enumerator.
+    """
 
     def __init__(self, g: Graph, p: int, budget: int):
         self.g = g
         self.p = p
         self.budget = budget
         self.nodes = 0
-        self.best = 0
 
     def _tick(self):
         self.nodes += 1
@@ -178,41 +185,47 @@ class _PackSearch:
                 pool &= ~mask_of(c)
         return out
 
-    def optimum(self) -> int:
-        """The maximum packing size: a greedy seed, then max_size over all vertices."""
-        self.best = len(self.greedy())
-        self.max_size(self.g.vertices_mask(), 0)
-        return self.best
+    def packings(self, target: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        """Every family of `target` disjoint p-cliques, as a sorted tuple.
 
-    def max_size(self, pool: VertexSet, current: int):
-        self._tick()
-        if current > self.best:
-            self.best = current
-        room = self.best - current
-        if pool.bit_count() // self.p <= room:
-            return
-        if self.upper_bound(pool, room) <= room:
-            return
-        for c in self._cliques_through_lowest(pool):
-            self.max_size(pool & ~mask_of(c), current + 1)
-        self.max_size(pool ^ (pool & -pool), current)
+        Depth first: at each node, every clique through the pool's lowest
+        vertex in lexicographic order, then the branch that drops that
+        vertex.  So families come in lexicographic order.  The stack holds
+        one clique iterator per packed clique and the drop branch replaces
+        the top frame, so it never holds more than `target` frames.
+        """
+        acc: list[tuple[int, ...]] = []
+        frames: list[tuple[VertexSet, Iterator[tuple[int, ...]]]] = []
+        pool = self.g.vertices_mask()
+        while True:
+            self._tick()
+            need = target - len(acc)
+            if need == 0:
+                yield tuple(acc)
+            elif pool.bit_count() // self.p >= need and self.upper_bound(pool, need - 1) >= need:
+                frames.append((pool, self._cliques_through_lowest(pool)))
+            if not frames:
+                return
+            top, cliques = frames[-1]
+            del acc[len(frames) - 1:]  # frame i was pushed with i cliques packed
+            c = next(cliques, None)
+            if c is None:
+                frames.pop()
+                pool = top ^ (top & -top)
+            else:
+                acc.append(c)
+                pool = top & ~mask_of(c)
 
-    def witness(self, pool: VertexSet, acc: list[tuple[int, ...]], target: int) -> Optional[list[tuple[int, ...]]]:
-        self._tick()
-        if len(acc) == target:
-            return acc
-        need = target - len(acc)
-        if pool.bit_count() // self.p < need:
-            return None
-        if self.upper_bound(pool, need - 1) < need:
-            return None
-        for c in self._cliques_through_lowest(pool):
-            acc.append(c)
-            got = self.witness(pool & ~mask_of(c), acc, target)
-            if got is not None:
-                return got
-            acc.pop()
-        return self.witness(pool ^ (pool & -pool), acc, target)
+    def optimum(self) -> tuple[tuple[int, ...], ...]:
+        """The first maximum packing in enumeration order.
+
+        The greedy packing is the first family of its own size; then each
+        larger size is tried until none exists.
+        """
+        best = tuple(self.greedy())
+        while (larger := next(self.packings(len(best) + 1), None)) is not None:
+            best = larger
+        return best
 
 
 def max_packing(g: Graph, p: int, budget: int = DEFAULT_PACKING_BUDGET) -> CliquePacking:
@@ -224,14 +237,7 @@ def max_packing(g: Graph, p: int, budget: int = DEFAULT_PACKING_BUDGET) -> Cliqu
     """
     if p < 2:
         raise ValueError("need p >= 2")
-    search = _PackSearch(g, p, budget)
-    target = search.optimum()
-    if target == 0:
-        return make_packing(g, p, [], certified=True)
-    found = search.witness(g.vertices_mask(), [], target)
-    if found is None:
-        raise CheckFailedError(f"no packing of size {target} found although the bound search reached it")
-    return make_packing(g, p, found, certified=True)
+    return make_packing(g, p, _PackSearch(g, p, budget).optimum(), certified=True)
 
 
 def switch(packing: CliquePacking, index: int, c_out: Iterable[int], c_in: Iterable[int]) -> CliquePacking:
@@ -284,36 +290,34 @@ def refine_packing(packing: CliquePacking) -> CliquePacking:
     one that strictly increases remainder edges, restarting until none
     applies.  Size never changes; remainder edges never decrease.
     """
-    g = packing.host
-    p = packing.p
     current = packing
-    improved = True
-    while improved:
-        improved = False
-        h_mask = current.remainder
-        h_edges = induced_edges(g, h_mask)
-        for index, r_old in enumerate(current.cliques):
-            for c_size in range(1, p + 1):
-                for c_out in combinations(r_old, c_size):
-                    kept = set(r_old) - set(c_out)
-                    if kept:
-                        cand = common_neighborhood(g, mask_of(kept)) & h_mask
-                    else:
-                        cand = h_mask
-                    out_mask = mask_of(c_out)
-                    for c_in in enumerate_cliques(g, c_size, cand):
-                        new_h = (h_mask & ~mask_of(c_in)) | out_mask
-                        if induced_edges(g, new_h) > h_edges:
-                            current = switch(current, index, c_out, c_in)
-                            improved = True
-                            break
-                    if improved:
-                        break
-                if improved:
-                    break
-            if improved:
-                break
+    while (move := _first_improving_switch(current)) is not None:
+        current = switch(current, *move)
     return current
+
+
+def _first_improving_switch(
+    packing: CliquePacking,
+) -> Optional[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """The first (index, c_out, c_in) in refine_packing's scan order that
+    strictly increases remainder edges, or None."""
+    g = packing.host
+    h_mask = packing.remainder
+    h_edges = induced_edges(g, h_mask)
+    for index, r_old in enumerate(packing.cliques):
+        for c_size in range(1, packing.p + 1):
+            for c_out in combinations(r_old, c_size):
+                kept = set(r_old) - set(c_out)
+                if kept:
+                    cand = common_neighborhood(g, mask_of(kept)) & h_mask
+                else:
+                    cand = h_mask
+                out_mask = mask_of(c_out)
+                for c_in in enumerate_cliques(g, c_size, cand):
+                    new_h = (h_mask & ~mask_of(c_in)) | out_mask
+                    if induced_edges(g, new_h) > h_edges:
+                        return index, c_out, c_in
+    return None
 
 
 @dataclass(frozen=True)
@@ -448,44 +452,19 @@ def _best_remainder_walk(g: Graph, p: int, budget: int) -> tuple[int, int, tuple
     """Visit every maximum packing; return (size, best remainder edges, witness).
 
     The witness is the first packing attaining the best remainder-edge count
-    in a fixed depth-first scan (cliques through the lowest pooled vertex in
-    lexicographic order, then the vertex-exclusion branch).  Exponential in
+    in the lexicographic order of _PackSearch.packings.  Exponential in
     general; intended for hosts of a dozen-odd vertices.
     """
     search = _PackSearch(g, p, budget)
-    target = search.optimum()
+    target = len(search.optimum())
     full = g.vertices_mask()
-    if target == 0:
-        return 0, g.m, ()
     best_edges = -1
     best_family: tuple[tuple[int, ...], ...] = ()
-    acc: list[tuple[int, ...]] = []
-    nodes = [0]
-
-    def walk(pool: VertexSet, packed: VertexSet, size: int):
-        nonlocal best_edges, best_family
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceededError(f"certification exceeded {budget} nodes")
-        if size == target:
-            e = induced_edges(g, full & ~packed)
-            if e > best_edges:
-                best_edges = e
-                best_family = tuple(sorted(acc))
-            return
-        need = target - size
-        if pool.bit_count() // p < need:
-            return
-        if search.upper_bound(pool, need - 1) < need:
-            return
-        for c in search._cliques_through_lowest(pool):
-            cm = mask_of(c)
-            acc.append(c)
-            walk(pool & ~cm, packed | cm, size + 1)
-            acc.pop()
-        walk(pool ^ (pool & -pool), packed, size)
-
-    walk(full, 0, 0)
+    for family in search.packings(target):
+        e = induced_edges(g, full & ~mask_of(v for c in family for v in c))
+        if e > best_edges:
+            best_edges = e
+            best_family = family
     return target, best_edges, best_family
 
 

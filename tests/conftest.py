@@ -16,6 +16,13 @@ def h1_310_packing(h1_310):
     return refine_packing(max_packing(h1_310.graph, 3))
 
 
+@pytest.fixture(scope="session")
+def deep_host():
+    """1100 vertices, one triangle on the top labels: the search must drop
+    1097 vertices one by one before it reaches the only clique."""
+    return build_graph(1100, [(1097, 1098), (1097, 1099), (1098, 1099)])
+
+
 @pytest.fixture
 def triangle():
     return build_graph(3, [(0, 1), (0, 2), (1, 2)])

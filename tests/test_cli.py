@@ -249,6 +249,13 @@ def test_pack_analyze_emits_partition(capsys, tmp_path, h1_310):
     assert sorted(analysis["clique"]) == analysis["clique"]
 
 
+def test_pack_deep_host(capsys, tmp_path, deep_host):
+    path = write_graph(tmp_path, deep_host)
+    code, out, _ = run(capsys, ["pack", "--p", "3", "--in", path])
+    assert code == 0
+    assert json.loads(out)["cliques"] == [[1097, 1098, 1099]]
+
+
 def test_pack_analyze_out_of_range_exits_2(capsys, tmp_path, prism):
     path = write_graph(tmp_path, prism)
     assert run(capsys, ["pack", "--p", "3", "--in", path, "--analyze", "5"])[0] == 2

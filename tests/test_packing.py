@@ -1,11 +1,11 @@
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
 from satedge.constructions import turan_graph
-from satedge.graph import build_graph, induced_edges
+from satedge.graph import build_graph, induced_edges, mask_of
 from satedge.packing import (
     BudgetExceededError,
     analyze,
@@ -57,8 +57,24 @@ def test_max_packing_h1(h1_310_packing):
 
 
 def test_max_packing_budget_error(h1_310):
+    # the search certifies h1(3,1,0) in 6 nodes
     with pytest.raises(BudgetExceededError):
-        max_packing(h1_310.graph, 3, budget=10)
+        max_packing(h1_310.graph, 3, budget=3)
+
+
+def test_certify_shares_the_packing_budget():
+    # 20 nodes find the optimum, about 400 walk every maximum packing
+    g = random_kpfree_graph(12, 4, seed=0)
+    pk = max_packing(g, 3, budget=100)
+    with pytest.raises(BudgetExceededError, match="packing search exceeded 100 nodes"):
+        certify_remainder_maximal(pk, budget=100)
+
+
+def test_deep_host_needs_no_recursion(deep_host):
+    pk = max_packing(deep_host, 3)
+    assert pk.cliques == ((1097, 1098, 1099),)
+    assert pk.certified
+    assert certify_remainder_maximal(pk) == (True, 0)
 
 
 def test_max_packing_is_lex_least():
@@ -66,6 +82,44 @@ def test_max_packing_is_lex_least():
     g = build_graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (4, 5), (4, 6), (5, 6)])
     pk = max_packing(g, 3)
     assert pk.cliques == ((0, 1, 2), (4, 5, 6))
+
+
+def _max_triangle_families(g):
+    """Every maximum family of disjoint triangles, each a sorted tuple, by
+    trying all combinations of triangles."""
+    triangles = [t for t in combinations(range(g.n), 3) if all(g.has_edge(u, v) for u, v in combinations(t, 2))]
+    best = [()]
+    for k in range(1, g.n // 3 + 1):
+        families = [f for f in combinations(triangles, k) if len(set(chain(*f))) == 3 * k]
+        if not families:
+            break
+        best = families
+    return best
+
+
+def _oracle_hosts():
+    nx = pytest.importorskip("networkx")
+    for nxg in nx.graph_atlas_g():
+        yield build_graph(nxg.number_of_nodes(), nxg.edges())
+    for seed in range(30):
+        yield random_kpfree_graph(9 + seed % 3, 4, seed=seed)
+
+
+def test_packings_match_brute_force_oracle():
+    checked = 0
+    for g in _oracle_hosts():
+        families = _max_triangle_families(g)
+
+        def remainder_edges(family):
+            return induced_edges(g, g.vertices_mask() & ~mask_of(chain(*family)))
+
+        best = max(remainder_edges(f) for f in families)
+        pk = max_packing(g, 3)
+        assert pk.cliques == min(families), g.adj
+        assert max_remainder_packing(g, 3).cliques == min(f for f in families if remainder_edges(f) == best), g.adj
+        assert certify_remainder_maximal(pk) == (remainder_edges(pk.cliques) == best, best), g.adj
+        checked += 1
+    assert checked == 1253 + 30
 
 
 def test_make_packing_validation(prism):
