@@ -3,7 +3,9 @@
 The engine enumerates K_p-free graphs on n vertices up to isomorphism by
 level-wise vertex extension with canonical-form deduplication, then takes
 the minimum saturating count over the classes with the requested edge count.
-Desk scale only: dense edge counts are practical through roughly n = 9.
+Classes grow along a minimum-degree construction path, and `explored`
+counts the candidates that are canonically labelled.  Desk scale only:
+dense edge counts are practical through roughly n = 10.
 
 Canonical form: vertices are first partitioned by iterated degree
 refinement; the canonical labeling is the class-respecting relabeling that
@@ -17,7 +19,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, bits, graph6_decode, graph6_encode
+from .graph import Graph, graph6_decode, graph6_encode
 from .constructions import turan_graph, turan_number
 from .formulas import CheckFailedError
 from .saturation import count_saturating
@@ -30,12 +32,18 @@ class InfeasibleError(ValueError):
 
 
 def _refined_colors(g: Graph) -> list[int]:
-    """Stable vertex coloring: iterate (color, sorted neighbor colors)."""
+    """Stable vertex coloring: iterate (color, neighbor count per color)."""
     n = g.n
+    adj = g.adj
     colors = [g.degree(v) for v in range(n)]
     while True:
+        masks: dict[int, int] = {}
+        for v, c in enumerate(colors):
+            masks[c] = masks.get(c, 0) | 1 << v
+        class_masks = [masks[c] for c in sorted(masks)]
+        # equal colors have equal degrees: orders like sorted neighbor colors
         sig = [
-            (colors[v], tuple(sorted(colors[u] for u in bits(g.adj[v]))))
+            (colors[v], tuple(-(adj[v] & m).bit_count() for m in class_masks))
             for v in range(n)
         ]
         ranking = {s: i for i, s in enumerate(sorted(set(sig)))}
@@ -152,22 +160,32 @@ def _generate_classes(
     """Isomorphism classes of K_p-free graphs on n vertices whose edge count
     can land in [e_min, e_max]; exact flag is False on budget exhaustion.
 
-    Level k holds one canonical representative per class on k vertices;
-    each level extends every representative by one vertex over all
-    neighborhood subsets that keep the graph K_p-free and the target edge
-    window reachable, then deduplicates by canonical key.
+    Level k holds one canonical representative per class on k vertices.
+    A child (a representative plus a vertex joined to a subset s) is kept
+    only if the new vertex has minimum degree in it: every class H is the
+    representative of H - w extended by N(w), w of minimum degree.  That
+    deletion never lowers the edge density m / C(k, 2), so a child on k + 1
+    vertices needs e_min * C(k + 1, 2) / C(n, 2) to e_max edges.  K_p-free
+    children that pass are the candidates (one unit of budget each),
+    deduplicated by canonical key.
     """
     reps = [Graph(1, (0,))]
     exact = True
     for k in range(1, n):
-        future = sum(range(k + 1, n))
+        # ceil(e_min * C(k+1, 2) / C(n, 2)); at least e_min - C(n, 2) + C(k+1, 2)
+        m_lo = -(-e_min * (k + 1) * k // (n * (n - 1)))
         tasks: list[tuple[Graph, list[int]]] = []
         total_candidates = 0
         for g in reps:
+            degrees = [a.bit_count() for a in g.adj]
+            delta = min(degrees)
+            low = sum(1 << v for v, d in enumerate(degrees) if d == delta)
             nbhds = []
             for s in range(1 << k):
-                m2 = g.m + s.bit_count()
-                if m2 > e_max or m2 + future < e_min:
+                d = s.bit_count()
+                if d > delta and (d > delta + 1 or s & low != low):
+                    continue
+                if not m_lo <= g.m + d <= e_max:
                     continue
                 if g.clique_in(s, p - 1) is not None:
                     continue

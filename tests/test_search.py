@@ -1,15 +1,19 @@
 import itertools
+import multiprocessing.pool
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from satedge.constructions import turan_number
-from satedge.graph import build_graph, contains_clique, graph6_decode
+from satedge.graph import Graph, bits, build_graph, contains_clique, graph6_decode
 from satedge.saturation import count_saturating
 from satedge.search import (
     InfeasibleError,
     _Budget,
+    _extend,
+    _extend_batch,
     _generate_classes,
+    _refined_colors,
     canonical_graph,
     canonical_key,
     min_saturating,
@@ -146,10 +150,91 @@ def test_budget_exhaustion_is_reported():
     assert not result.exact
 
 
-def test_thread_invariance():
-    one = min_saturating(7, 13, 4, threads=1)
-    four = min_saturating(7, 13, 4, threads=4)
-    assert one.to_dict() == four.to_dict()
+def test_thread_invariance(monkeypatch):
+    # the n = 8 jump's last level has 504 candidates, above the pool's cut-off
+    sent = []
+    pool_map = multiprocessing.pool.Pool.map
+
+    def counting_map(self, func, tasks, *args, **kwargs):
+        if func is _extend_batch:
+            sent.extend(tasks)
+        return pool_map(self, func, tasks, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "map", counting_map)
+    one = min_saturating_at_jump(8, 3, threads=1)
+    assert not sent
+    two = min_saturating_at_jump(8, 3, threads=2)
+    assert sum(len(nbhds) for _, nbhds in sent) > 256
+    assert one.to_dict() == two.to_dict()
+
+
+@pytest.mark.parametrize("n,explored", [(5, 11), (6, 39), (7, 174), (8, 744)])
+def test_jump_search_work_counter(n, explored):
+    assert min_saturating_at_jump(n, 3).explored == explored
+
+
+def old_refined_colors(g):
+    """The refinement by sorted neighbor colors that _refined_colors replaced."""
+    colors = [g.degree(v) for v in range(g.n)]
+    while True:
+        sig = [
+            (colors[v], tuple(sorted(colors[u] for u in bits(g.adj[v]))))
+            for v in range(g.n)
+        ]
+        ranking = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [ranking[sig[v]] for v in range(g.n)]
+        if new == colors:
+            return colors
+        colors = new
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graph_strategy())
+def test_refined_colors_match_sorted_neighbor_oracle(g):
+    assert _refined_colors(g) == old_refined_colors(g)
+
+
+def old_class_keys(n, p, e_min, e_max):
+    """Canonical keys from the level-wise generator the min-degree path
+    replaced: every K_p-free extension within the edge window, no
+    min-degree or density filter."""
+    reps = [Graph(1, (0,))]
+    for k in range(1, n):
+        future = sum(range(k + 1, n))
+        keys = set()
+        for g in reps:
+            for s in range(1 << k):
+                m2 = g.m + s.bit_count()
+                if m2 > e_max or m2 + future < e_min:
+                    continue
+                if g.clique_in(s, p - 1) is None:
+                    keys.add(canonical_key(_extend(g, s)))
+        reps = [graph6_decode(key) for key in sorted(keys)]
+    return keys
+
+
+def new_class_keys(n, p, e_min, e_max):
+    reps, exact = _generate_classes(n, p, e_min, e_max, _Budget(10**9), threads=1)
+    assert exact
+    return {canonical_key(g) for g in reps}
+
+
+@pytest.mark.parametrize(
+    "n,p,e_min,e_max",
+    [(n, 4, turan_number(n, 3) + 1, turan_number(n, 3) + 1) for n in (5, 6, 7, 8)]
+    + [(n, 4, turan_number(n, 3), turan_number(n, 3)) for n in (6, 7, 8)]
+    + [(7, 4, 0, 12)],
+)
+def test_min_degree_path_matches_old_generator(n, p, e_min, e_max):
+    assert new_class_keys(n, p, e_min, e_max) == old_class_keys(n, p, e_min, e_max)
+
+
+def test_triangle_free_class_counts_match_oeis():
+    # OEIS A006785: triangle-free graphs on n unlabeled nodes
+    counts = [1, 2, 3, 7, 14, 38, 107, 410, 1897]
+    for n, expected in enumerate(counts, start=1):
+        reps, exact = _generate_classes(n, 3, 0, turan_number(n, 3), _Budget(10**9), threads=1)
+        assert exact and len(reps) == expected
 
 
 def test_table_agrees_with_single_queries():
