@@ -12,42 +12,28 @@ for n = modulus(p)*x + y; h2 does the same with 2y+1 / y+1 and overshoots
 by a small surplus that trim_to_target can remove edge by edge.
 
 Vertex labels in every blow-up run V0 first, then V_1..V_{p-1}, then
-U_1..U_{p-1}, each part a contiguous range.
+U_1..U_{p-1}, each part a contiguous range.  A `Blowup` builds its graph
+only when `.graph` is first read; `count_saturating(bu.spec, p + 1)` counts
+from the spec alone, far past the vertex cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 
-from .graph import (
-    Graph,
-    VertexSet,
-    bits,
-    build_graph,
-    contains_clique,
-)
+from .graph import BlowupSpec, Graph, VertexSet, bits, build_graph
 from .saturation import count_saturating
 
 
 def turan_graph(n: int, r: int) -> Graph:
-    """Complete r-partite graph on n vertices with balanced parts."""
+    """Complete r-partite graph on n vertices with balanced parts, larger first."""
     if n < 0 or r < 1:
         raise ValueError("need n >= 0 and r >= 1")
-    sizes = [n // r + (1 if i < n % r else 0) for i in range(r)]
-    part_of = []
-    for i, s in enumerate(sizes):
-        part_of.extend([i] * s)
-    adj = [0] * n
-    start = 0
-    masks = []
-    for s in sizes:
-        masks.append(((1 << s) - 1) << start)
-        start += s
-    full = (1 << n) - 1
-    for v in range(n):
-        adj[v] = full & ~masks[part_of[v]]
-    return Graph(n, tuple(adj))
+    complete = build_graph(r, combinations(range(r), 2))
+    return blow_up(BlowupSpec(complete, tuple(_balanced_split(n, r))))[0]
 
 
 def turan_number(n: int, p: int) -> int:
@@ -78,22 +64,6 @@ def modulus(p: int) -> int:
     return p * (p - 1) * (4 * p * p - 11 * p + 8)
 
 
-@dataclass(frozen=True)
-class TuranDecomposition:
-    p: int
-    n: int
-    x: int
-    y: int
-
-
-def decompose_n(n: int, p: int) -> TuranDecomposition:
-    """Unique split n = modulus(p)*x + y with 0 <= y < modulus(p)."""
-    if p < 3 or n < 0:
-        raise ValueError("need p >= 3 and n >= 0")
-    x, y = divmod(n, modulus(p))
-    return TuranDecomposition(p=p, n=n, x=x, y=y)
-
-
 def base_graph(p: int) -> Graph:
     """The 2p-1 vertex base: K_{2,...,2} on pairs {v_i, u_i} plus apex v0.
 
@@ -113,56 +83,37 @@ def base_graph(p: int) -> Graph:
     return build_graph(2 * p - 1, edges)
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
-    """A base graph plus one part size per base vertex."""
-
-    base: Graph
-    sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.sizes) != self.base.n:
-            raise ValueError("one size per base vertex required")
-        if any(s < 0 for s in self.sizes):
-            raise ValueError("part sizes must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return sum(self.sizes)
-
-
 def blow_up(spec: BlowupSpec) -> tuple[Graph, tuple[VertexSet, ...]]:
-    """Materialize a blow-up; returns (graph, part masks per base vertex).
+    """Materialize a blow-up; returns (graph, spec.parts).
 
     Each base vertex becomes an independent set; cross-part adjacency copies
     the base edge.  Vertices of one part share a single adjacency mask.
     """
-    n = spec.n
-    parts = []
-    start = 0
-    for s in spec.sizes:
-        parts.append(((1 << s) - 1) << start)
-        start += s
-    adj: list[int] = [0] * n
-    for b in range(spec.base.n):
-        if not parts[b]:
-            continue
+    parts = spec.parts
+    adj: list[int] = [0] * spec.n
+    for b, part in enumerate(parts):
         row = 0
         for nb in bits(spec.base.adj[b]):
             row |= parts[nb]
-        for v in bits(parts[b]):
+        for v in bits(part):
             adj[v] = row
-    return Graph(n, tuple(adj)), tuple(parts)
+    return Graph(spec.n, tuple(adj)), parts
 
 
 @dataclass(frozen=True)
 class Blowup:
-    """A constructed blow-up together with its part map."""
+    """A blow-up construction: its spec, and the graph built on first use."""
 
-    graph: Graph
     spec: BlowupSpec
-    parts: tuple[VertexSet, ...]
     p: int
+
+    @cached_property
+    def graph(self) -> Graph:
+        return blow_up(self.spec)[0]
+
+    @property
+    def parts(self) -> tuple[VertexSet, ...]:
+        return self.spec.parts
 
     @property
     def v_parts(self) -> tuple[VertexSet, ...]:
@@ -191,9 +142,7 @@ def h0(p: int, x: int) -> Blowup:
     """The K_{p+1}-free blow-up on modulus(p)*x vertices."""
     if p < 3 or x < 1:
         raise ValueError("need p >= 3 and x >= 1")
-    spec = BlowupSpec(base_graph(p), tuple(_h_sizes(p, x)))
-    g, parts = blow_up(spec)
-    return Blowup(graph=g, spec=spec, parts=parts, p=p)
+    return Blowup(BlowupSpec(base_graph(p), tuple(_h_sizes(p, x))), p)
 
 
 def _h_variant(p: int, x: int, extra_v0: int, drop_u: int) -> Blowup:
@@ -202,9 +151,7 @@ def _h_variant(p: int, x: int, extra_v0: int, drop_u: int) -> Blowup:
     drops = _balanced_split(drop_u, p - 1)
     for i, d in enumerate(drops):
         sizes[p + i] -= d
-    spec = BlowupSpec(base_graph(p), tuple(sizes))
-    g, parts = blow_up(spec)
-    return Blowup(graph=g, spec=spec, parts=parts, p=p)
+    return Blowup(BlowupSpec(base_graph(p), tuple(sizes)), p)
 
 
 def h1(p: int, x: int, y: int) -> Blowup:
@@ -286,6 +233,3 @@ def check_construction_edge_identity(n: int, p: int) -> bool:
     rhs = Fraction((p - 2) * n * n, 2 * (p - 1)) - turan_defect(n, p)
     return lhs == rhs
 
-
-def is_kp1_free(bu: Blowup) -> bool:
-    return not contains_clique(bu.graph, bu.p + 1)

@@ -235,8 +235,7 @@ def density_quadratic(n: int, p: int, r: Fraction) -> Fraction:
     """The scaled combined lower bound as a quadratic in r.
 
     H(r) = p^2 Q^2 n^2 r^2 - (4p(p-2)^2 Q n^2 + 2p^2(p-1)^2 Q n) r
-           + 4p(p-2)^2 Q n^2 - 4p(p-1)^2(p-2) Q n,
-    which is 8p(p-1)^3 Q times the raw quadratic density_quadratic_raw.
+           + 4p(p-2)^2 Q n^2 - 4p(p-1)^2(p-2) Q n.
     """
     q = _q(p)
     return (
@@ -244,18 +243,6 @@ def density_quadratic(n: int, p: int, r: Fraction) -> Fraction:
         - (4 * p * (p - 2) ** 2 * q * n * n + 2 * p * p * (p - 1) ** 2 * q * n) * r
         + 4 * p * (p - 2) ** 2 * q * n * n
         - 4 * p * (p - 1) ** 2 * (p - 2) * q * n
-    )
-
-
-def density_quadratic_raw(n: int, p: int, r: Fraction) -> Fraction:
-    """pQn^2/(8(p-1)^3) r^2 - (2(p-2)^2n^2+p(p-1)^2n)/(4(p-1)^3) r
-    + (p-2)^2/(2(p-1)^3) n^2 - (p-2)/(2(p-1)) n."""
-    q = _q(p)
-    return (
-        Fraction(p * q * n * n, 8 * (p - 1) ** 3) * r * r
-        - Fraction(2 * (p - 2) ** 2 * n * n + p * (p - 1) ** 2 * n, 4 * (p - 1) ** 3) * r
-        + Fraction((p - 2) ** 2 * n * n, 2 * (p - 1) ** 3)
-        - Fraction((p - 2) * n, 2 * (p - 1))
     )
 
 

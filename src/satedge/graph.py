@@ -5,14 +5,17 @@ iff vertex v is in the set); adjacency is one mask per vertex.  Python ints
 are arbitrary precision, so masks need no fixed word layout; a configurable
 vertex cap guards against accidental huge allocations.
 
-False twins (identical neighborhoods) serve both the clique probe and the
-saturating count: a clique uses at most one member of a class, so the probe
-searches one representative per class, and the count probes class pairs.
-Blow-up style graphs reduce to a handful of classes this way.
+A `BlowupSpec` (a base graph plus one part size per base vertex) is both a
+blow-up and the one quotient type: `Graph.quotient()` has one base vertex per
+class of false twins (identical neighborhoods).  A clique uses at most one
+vertex of a class, so the clique probe searches one representative per
+class, and the saturating count runs on the quotient's base.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 VertexSet = int  # bitmask over 0..n-1
@@ -135,6 +138,27 @@ class Graph:
             self._twins = tuple(groups.values())
         return self._twins
 
+    def quotient(self) -> "BlowupSpec":
+        """The twin-class quotient: base vertex i is the i-th class of
+        twin_classes(), with that class's size.  A twin-free graph is its own
+        base."""
+        classes = self.twin_classes()
+        if len(classes) == self.n:
+            return BlowupSpec(self, (1,) * self.n)
+        lows = [cls & -cls for cls in classes]  # each class's lowest member, as a bit
+        index = {low: 1 << i for i, low in enumerate(lows)}
+        rep_mask = sum(lows)
+        adj = []
+        for low in lows:
+            row = 0
+            nbrs = self.adj[low.bit_length() - 1] & rep_mask
+            while nbrs:
+                bit = nbrs & -nbrs
+                row |= index[bit]
+                nbrs ^= bit
+            adj.append(row)
+        return BlowupSpec(Graph(len(lows), tuple(adj)), tuple(map(int.bit_count, classes)))
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -143,6 +167,34 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+@dataclass(frozen=True)
+class BlowupSpec:
+    """A base graph plus one part size per base vertex."""
+
+    base: Graph
+    sizes: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.sizes) != self.base.n:
+            raise ValueError("one size per base vertex required")
+        if min(self.sizes, default=0) < 0:
+            raise ValueError("part sizes must be nonnegative")
+
+    @property
+    def n(self) -> int:
+        return sum(self.sizes)
+
+    @cached_property
+    def parts(self) -> tuple[VertexSet, ...]:
+        """Vertex masks of the blow-up's parts: contiguous ranges in base order."""
+        parts = []
+        start = 0
+        for s in self.sizes:
+            parts.append(((1 << s) - 1) << start)
+            start += s
+        return tuple(parts)
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]], cap: int = DEFAULT_VERTEX_CAP) -> Graph:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
@@ -28,13 +29,12 @@ from .graph import (
     common_neighborhood,
     edges_between,
     enumerate_cliques,
-    find_clique,
     induced_edges,
     mask_of,
 )
 from .constructions import turan_defect, turan_number
 from .formulas import CheckFailedError, attachment_fraction_bound, best_clique_edge_bound
-from .saturation import CliquePresentError, count_saturating, is_saturating
+from .saturation import count_saturating, is_saturating
 
 DEFAULT_PACKING_BUDGET = 5_000_000
 
@@ -67,6 +67,13 @@ class CliquePacking:
     def density(self) -> Fraction:
         """r = |packing| / n."""
         return Fraction(len(self.cliques), self.host.n)
+
+    @cached_property
+    def _ell_split(self) -> tuple[int, int]:
+        report = count_saturating(self.host, self.p + 1, edges=True)
+        packed = self.packed_mask
+        ell1 = sum(1 for u, v in report.edges if (1 << u | 1 << v) & packed)
+        return ell1, report.total - ell1
 
     def to_json(self) -> str:
         return json.dumps(
@@ -337,13 +344,10 @@ def ell_split(packing: CliquePacking) -> tuple[int, int]:
     """Saturating edges split: (touching packed vertices, inside remainder).
 
     Counts (p+1)-clique-saturating edges of the host, so the host must be
-    K_{p+1}-free; the two parts always sum to the full count.
+    K_{p+1}-free; the two parts always sum to the full count.  Counted once
+    per packing.
     """
-    g = packing.host
-    report = count_saturating(g, packing.p + 1, edges=True)
-    packed = packing.packed_mask
-    ell1 = sum(1 for u, v in report.edges if (1 << u | 1 << v) & packed)
-    return ell1, report.total - ell1
+    return packing._ell_split
 
 
 def analyze(packing: CliquePacking, index: int) -> PackingAnalysis:
@@ -354,14 +358,13 @@ def analyze(packing: CliquePacking, index: int) -> PackingAnalysis:
     clique minus its i-th vertex.  Verifies the exact identities
     sum z_j = 1 - p r and sum |A_i|/n = z_{p-1}, that the A_i are disjoint
     independent subsets of Z_{p-1}, and that every pair inside an A_i is a
-    saturating edge.
+    saturating edge.  A host with a (p+1)-clique raises CliquePresentError
+    from the count, before any check.
     """
     g = packing.host
     p = packing.p
     n = g.n
-    witness = find_clique(g, p + 1)
-    if witness is not None:
-        raise CliquePresentError(f"host contains a {p + 1}-clique {witness}")
+    ell1, ell2 = ell_split(packing)
     clique = packing.cliques[index]
     r_mask = mask_of(clique)
     z_masks = [0] * (p + 1)
@@ -396,7 +399,6 @@ def analyze(packing: CliquePacking, index: int) -> PackingAnalysis:
             if not is_saturating(g, p + 1, u, v):
                 raise CheckFailedError(f"pair ({u},{v}) inside A_{i} is not saturating")
 
-    ell1, ell2 = ell_split(packing)
     return PackingAnalysis(
         clique=clique,
         Z=tuple(z_masks),

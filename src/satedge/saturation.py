@@ -2,9 +2,14 @@
 
 A non-edge (u, v) of a K_p-free graph G is saturating when G + uv contains
 a p-clique, i.e. when the common neighborhood of u and v holds a (p-2)-clique.
-The count over all non-edges is the graph's saturating-edge number.  False
-twins share their neighborhood, so the count runs over twin classes: one
-probe on two representatives decides every pair between their classes.
+The count over all non-edges is the graph's saturating-edge number.
+
+Every count runs on a quotient (`graph.BlowupSpec`): a base graph plus one
+part size per base vertex.  A graph's quotient has one base vertex per twin
+class; a blow-up spec is its own.  Parts are independent sets that share
+their neighborhood, so one probe on the base decides every vertex pair
+between two parts, and the sizes supply the weights.  A spec host is never
+materialised, so hosts far past the vertex cap can be counted.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import Graph, bits
+from .graph import BlowupSpec, Graph, VertexSet, bits, mask_of
 
 
 class CliquePresentError(ValueError):
@@ -46,63 +51,73 @@ def is_saturating(g: Graph, p: int, u: int, v: int) -> bool:
     return g.clique_in(g.adj[u] & g.adj[v], p - 2) is not None
 
 
-def _class_pairs(g: Graph, p: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Saturating twin-class pairs (i, j) with lo <= i < hi and i <= j.
-
-    Each class is probed through its lowest member: the pair (i, i) inside a
-    class of two or more, and (i, j) for every later class not adjacent to i.
-    """
-    classes = g.twin_classes()
-    reps = [(cls & -cls).bit_length() - 1 for cls in classes]
-    adj = g.adj
+def _class_pairs(q: BlowupSpec, live: VertexSet, p: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """Saturating part pairs (i, j) of q with lo <= i < hi and i <= j, probed on
+    the base restricted to the non-empty parts `live`: (i, i) inside a part of
+    two or more, and (i, j) for every later part not adjacent to i."""
+    base, size = q.base, q.sizes
+    adj = base.adj
     found: list[tuple[int, int]] = []
     for i in range(lo, hi):
-        u = reps[i]
-        if classes[i] != 1 << u and g.clique_in(adj[u], p - 2) is not None:
+        if not size[i]:
+            continue
+        nbhd = adj[i] & live
+        if size[i] >= 2 and base.clique_in(nbhd, p - 2) is not None:
             found.append((i, i))
-        for j in range(i + 1, len(reps)):
-            v = reps[j]
-            if not adj[u] >> v & 1 and g.clique_in(adj[u] & adj[v], p - 2) is not None:
+        for j in range(i + 1, len(size)):
+            if size[j] and not nbhd >> j & 1 and base.clique_in(nbhd & adj[j], p - 2) is not None:
                 found.append((i, j))
     return found
 
 
-def _vertex_pairs(g: Graph, class_pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """The vertex pairs (u, v), u < v, of the given class pairs, lex-sorted."""
-    classes = g.twin_classes()
-    owner = {u: i for i, cls in enumerate(classes) for u in bits(cls)}
-    partners = [0] * len(classes)
+def _parts(host: Graph | BlowupSpec) -> tuple[VertexSet, ...]:
+    """The host's vertex masks per quotient vertex: twin classes or blow-up ranges."""
+    return host.twin_classes() if isinstance(host, Graph) else host.parts
+
+
+def _vertex_pairs(parts: tuple[VertexSet, ...], n: int, class_pairs: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs (u, v), u < v, of the given part pairs, lex-sorted."""
+    owner = {u: i for i, part in enumerate(parts) for u in bits(part)}
+    partners = [0] * len(parts)
     for i, j in class_pairs:
-        partners[i] |= classes[j]
-        partners[j] |= classes[i]
-    return tuple((u, v) for u in range(g.n) for v in bits(partners[owner[u]] >> (u + 1) << (u + 1)))
+        partners[i] |= parts[j]
+        partners[j] |= parts[i]
+    return tuple((u, v) for u in range(n) for v in bits(partners[owner[u]] >> (u + 1) << (u + 1)))
 
 
-def count_saturating(g: Graph, p: int, *, edges: bool = False, threads: int = 1) -> SaturationReport:
-    """Count (optionally list) all p-clique-saturating edges of g.
+def count_saturating(host: Graph | BlowupSpec, p: int, *, edges: bool = False, threads: int = 1) -> SaturationReport:
+    """Count (optionally list) all p-clique-saturating edges of a host.
 
-    Refuses graphs that already contain a p-clique.  A saturating class pair
-    adds C(s, 2) inside a class of size s and |A|*|B| between classes A and
-    B.  With threads > 1 the class range is split across worker processes;
-    results are identical, and listed edges are in lexicographic order.
+    The host is a graph, counted on its twin-class quotient, or a blow-up
+    spec, counted on its base without building the graph; listed vertices
+    are those of blow_up(spec).  Refuses hosts that already contain a
+    p-clique.  A saturating part pair adds C(s, 2) inside a part of size s
+    and |A|*|B| between parts A and B.  With threads > 1 the part range is
+    split across worker processes, which receive only the quotient; results
+    are identical, and listed edges are in lexicographic order.
     """
     if p < 3:
         raise ValueError("need p >= 3")
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    witness = g.clique_in(g.vertices_mask(), p)
-    if witness is not None:
-        raise CliquePresentError(f"graph already contains a {p}-clique {witness}")
-    size = [cls.bit_count() for cls in g.twin_classes()]
+    q = host.quotient() if isinstance(host, Graph) else host
+    size = q.sizes
     k = len(size)
+    live = mask_of(i for i in range(k) if size[i])
+    witness = q.base.clique_in(live, p)
+    if witness is not None:
+        parts = _parts(host)
+        lowest = tuple((parts[i] & -parts[i]).bit_length() - 1 for i in witness)
+        raise CliquePresentError(f"graph already contains a {p}-clique {lowest}")
     if threads == 1 or k < 64:
-        found = _class_pairs(g, p, 0, k)
+        found = _class_pairs(q, live, p, 0, k)
     else:
         chunks = min(threads * 4, k)
         bounds = [k * i // chunks for i in range(chunks + 1)]
-        args = [(g, p, bounds[i], bounds[i + 1]) for i in range(chunks)]
+        args = [(q, live, p, bounds[i], bounds[i + 1]) for i in range(chunks)]
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=threads) as pool:
             found = [pair for pairs in pool.starmap(_class_pairs, args) for pair in pairs]
     total = sum(size[i] * (size[i] - 1) // 2 if i == j else size[i] * size[j] for i, j in found)
-    return SaturationReport(p=p, n=g.n, total=total, edges=_vertex_pairs(g, found) if edges else None)
+    listed = _vertex_pairs(_parts(host), q.n, found) if edges else None
+    return SaturationReport(p=p, n=q.n, total=total, edges=listed)

@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .graph import Graph, bits, common_neighborhood, contains_clique, enumerate_cliques, mask_of
@@ -187,12 +188,7 @@ def verify_constructions(
                 )
                 if report.edges is not None:
                     t0 = time.perf_counter()
-                    expected = set()
-                    for part in bu.v_parts:
-                        members = list(bits(part))
-                        for i, u in enumerate(members):
-                            for v in members[i + 1:]:
-                                expected.add((u, v))
+                    expected = {pair for part in bu.v_parts for pair in combinations(bits(part), 2)}
                     reports.append(
                         _check(
                             "h1-saturating-edges-in-v-parts",

@@ -8,7 +8,6 @@ from satedge.constructions import (
     base_graph,
     blow_up,
     check_construction_edge_identity,
-    decompose_n,
     h0,
     h1,
     h2,
@@ -69,13 +68,6 @@ def test_modulus(p, expected):
     assert modulus(p) == expected
 
 
-def test_decompose_round_trip():
-    for p in (3, 4, 5):
-        for n in (modulus(p), modulus(p) + 1, 2 * modulus(p) + 2):
-            dec = decompose_n(n, p)
-            assert dec.x * modulus(p) + dec.y == n
-
-
 def test_base_graph_shape():
     for p in (3, 4, 5):
         g = base_graph(p)
@@ -90,6 +82,7 @@ def test_blow_up_parts_partition():
     spec = BlowupSpec(base=base_graph(3), sizes=(2, 3, 3, 4, 4))
     g, parts = blow_up(spec)
     assert g.n == 16
+    assert parts == spec.parts
     union = 0
     for mask in parts:
         assert mask & union == 0

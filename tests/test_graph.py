@@ -111,6 +111,15 @@ def test_twin_classes_on_blowup():
     assert sorted(c.bit_count() for c in classes) == [2, 3]
 
 
+def test_quotient_is_the_twin_class_spec(prism):
+    g = build_graph(5, [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (1, 4)])
+    q = g.quotient()
+    assert q.sizes == (2, 3)
+    assert q.base.adj == (0b10, 0b01)
+    assert prism.quotient().base is prism  # twin-free: its own base
+    assert prism.quotient().sizes == (1,) * 6
+
+
 def test_common_neighborhood(k33):
     assert common_neighborhood(k33, mask_of([0, 1])) == mask_of([3, 4, 5])
     with pytest.raises(ValueError):

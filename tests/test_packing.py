@@ -4,7 +4,8 @@ from itertools import chain, combinations
 
 import pytest
 
-from satedge.constructions import turan_graph
+from satedge import packing
+from satedge.constructions import h0, h1, h2, turan_graph
 from satedge.graph import build_graph, induced_edges, mask_of
 from satedge.packing import (
     BudgetExceededError,
@@ -225,6 +226,38 @@ def test_analyze_n40_sparse():
     assert pk.size > 0
     for index in range(pk.size):
         analyze(pk, index)
+
+
+def test_analyze_counts_once_per_packing(monkeypatch):
+    pk = refine_packing(max_packing(h1(3, 1, 0).graph, 3))
+    calls = []
+    count = packing.count_saturating
+    monkeypatch.setattr(packing, "count_saturating", lambda *args, **kw: calls.append(args) or count(*args, **kw))
+    for index in range(pk.size):
+        analyze(pk, index)
+    assert pk.size == 4
+    assert len(calls) == 1
+
+
+# base_graph(p) has one p-clique, {v0, ..., v_{p-1}}, so every p-clique of
+# an h0/h1/h2 host takes one vertex from each of V0..V_{p-1}.
+QUOTIENT_PACKING_CELLS = (
+    [(h0, (3, x)) for x in (1, 2)]
+    + [(h1, (3, 1, y)) for y in range(4)]
+    + [(h1, (3, 2, 0)), (h2, (3, 1, 0)), (h2, (3, 1, 1))]
+)
+
+
+@pytest.mark.parametrize(
+    "family,cell",
+    QUOTIENT_PACKING_CELLS,
+    ids=[f"{f.__name__}-{'.'.join(map(str, cell))}" for f, cell in QUOTIENT_PACKING_CELLS],
+)
+def test_max_packing_matches_quotient_oracle(family, cell):
+    bu = family(*cell)
+    pk = max_packing(bu.graph, 3)
+    assert pk.certified
+    assert pk.size == min(bu.spec.sizes[:3])
 
 
 def test_analyze_rejects_clique_host():

@@ -3,9 +3,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satedge.constructions import h0, h1, h2, trim_to_target, turan_graph, turan_number
-from satedge.formulas import h1_saturating_count_binomial
-from satedge.graph import build_graph, contains_clique
+from satedge.constructions import blow_up, h0, h1, h2, modulus, trim_to_target, turan_graph, turan_number
+from satedge.formulas import exact_minimum_divisible, h1_saturating_count, h1_saturating_count_binomial
+from satedge.graph import BlowupSpec, build_graph, contains_clique
 from satedge.saturation import CliquePresentError, count_saturating, is_saturating
 from satedge.verify import random_kpfree_graph
 
@@ -41,6 +41,20 @@ def planted_twin_strategy(max_base=6):
         return build_graph(n, edges), p
 
     return graphs()
+
+
+def spec_strategy(max_base=7):
+    """Any base graph on up to `max_base` vertices, sizes 0..3, p in 3..5."""
+
+    @st.composite
+    def specs(draw):
+        k = draw(st.integers(min_value=0, max_value=max_base))
+        pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        sizes = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=k, max_size=k))
+        return BlowupSpec(build_graph(k, chosen), tuple(sizes)), draw(st.integers(min_value=3, max_value=5))
+
+    return specs()
 
 
 def test_is_saturating_path():
@@ -109,6 +123,21 @@ def test_count_matches_add_edge_oracle(gp):
     ]
     assert list(report.edges) == oracle
     assert report.total == len(oracle)
+    assert count_saturating(g.quotient(), p).total == len(oracle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_strategy())
+def test_spec_count_matches_blown_up_graph(sp):
+    spec, p = sp
+    g, _ = blow_up(spec)
+    try:
+        want = count_saturating(g, p, edges=True)
+    except CliquePresentError:
+        with pytest.raises(CliquePresentError):
+            count_saturating(spec, p, edges=True)
+        return
+    assert count_saturating(spec, p, edges=True) == want
 
 
 def test_threads_match_single():
@@ -142,9 +171,24 @@ def test_blowup_count_matches_pair_scan(family, cell, trimmed):
     scan = tuple((u, v) for u, v in g.non_edges() if is_saturating(g, p, u, v))
     assert report.total == len(scan)
     assert report.edges == scan
+    if not trimmed:
+        assert count_saturating(bu.spec, p, edges=True) == report
 
 
 def test_blowup_count_matches_brute_force():
     # the twin-class count against the binomial closed form over the V parts
     for p, x, y in [(3, 1, 0), (3, 1, 1), (3, 1, 2), (4, 1, 0)]:
         assert count_saturating(h1(p, x, y).graph, p + 1).total == h1_saturating_count_binomial(p, x, y)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_spec_count_past_vertex_cap(p):
+    # about a million vertices: counted on the spec, the graph is never built
+    x = 10**6 // modulus(p)
+    for y in (0, 1, 2, 7, p * (p - 1) * (3 * p - 4) * x - 1):
+        bu = h1(p, x, y)
+        total = count_saturating(bu.spec, p + 1).total
+        assert total == h1_saturating_count(p, x, y) == h1_saturating_count_binomial(p, x, y)
+        if y == 0:
+            assert total == exact_minimum_divisible(bu.spec.n, p)
+        assert "graph" not in vars(bu)
