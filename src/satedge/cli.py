@@ -218,12 +218,15 @@ def _cmd_construct(args, cfg: Config) -> int:
             bu = h1(args.p, args.x, args.y)
         else:
             bu = h2(args.p, args.x, args.y)
-        g, parts = bu.graph, bu.parts
+        parts = bu.parts
+        g = None  # the blow-up is built only to be emitted or trimmed
         if args.name == "trim":
             target = args.target
             if target is None:
-                target = turan_number(bu.graph.n, args.p) + 1
+                target = turan_number(bu.spec.n, args.p) + 1
             g = trim_to_target(bu, target)
+        elif not args.parts:
+            g = bu.graph
     if args.parts:
         if parts is None:
             raise ConfigError(f"{args.name} has no part map")

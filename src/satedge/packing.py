@@ -4,7 +4,9 @@ A packing is a family of pairwise disjoint p-cliques; the remainder is the
 rest of the host.  One depth-first enumerator yields the packings of a given
 size in lexicographic order, pruned by a greedy hitting-set bound; the
 maximum packing, the best-remainder packing and its certificate all walk it.
-It keeps an explicit stack, so host size does not bound its depth.
+It keeps an explicit stack, so host size does not bound its depth.  The
+bound ranks false-twin classes, not vertices, over the p-cliques of the
+host's twin-class quotient, which each search lists once.
 Beyond maximum cardinality, the machinery here supports
 the remainder-edge refinement (switch a packed clique with an equal-size
 clique outside and keep only strict remainder-edge gains), the neighbor-count
@@ -37,10 +39,6 @@ from .formulas import CheckFailedError, attachment_fraction_bound, best_clique_e
 from .saturation import count_saturating, is_saturating
 
 DEFAULT_PACKING_BUDGET = 5_000_000
-
-# upper_bound ranks live vertices by how many p-cliques they lie on, counted
-# only up to this cap.
-_CLIQUES_AT_CAP = 512
 
 
 class BudgetExceededError(RuntimeError):
@@ -124,8 +122,9 @@ def packing_from_json(host: Graph, text: str) -> CliquePacking:
 class _PackSearch:
     """Exact packing search: one depth-first enumerator of fixed-size packings.
 
-    Every node and every upper-bound step is charged to one node counter
-    against one budget, whichever caller drives the enumerator.
+    Every listed quotient clique, every node and every upper-bound step is
+    charged to one node counter against one budget, whichever caller drives
+    the enumerator.
     """
 
     def __init__(self, g: Graph, p: int, budget: int):
@@ -133,6 +132,13 @@ class _PackSearch:
         self.p = p
         self.budget = budget
         self.nodes = 0
+        # the host's p-cliques up to twins, as (mask, tuple) over the class
+        # indices of the twin-class quotient, class i being g.twin_classes()[i]
+        self.classes = g.twin_classes()
+        self.class_cliques: list[tuple[int, tuple[int, ...]]] = []
+        for c in enumerate_cliques(g.quotient().base, p):
+            self._tick()
+            self.class_cliques.append((mask_of(c), c))
 
     def _tick(self):
         self.nodes += 1
@@ -148,14 +154,6 @@ class _PackSearch:
         for rest in enumerate_cliques(self.g, self.p - 1, pool & self.g.adj[v]):
             yield (v,) + rest
 
-    def _cliques_at(self, v: int, live: VertexSet) -> int:
-        count = 0
-        for _ in enumerate_cliques(self.g, self.p - 1, live & self.g.adj[v]):
-            count += 1
-            if count >= _CLIQUES_AT_CAP:
-                break
-        return count
-
     def upper_bound(self, pool: VertexSet, cutoff: int) -> int:
         """An upper bound on the packing size inside `pool`, at most cutoff+1.
 
@@ -163,20 +161,39 @@ class _PackSearch:
         remain.  Disjoint cliques must contain distinct deleted vertices, so
         the number of deletions bounds any packing.  Gives up (returning
         cutoff + 1) once the bound can no longer prune.
+
+        Counts run over the quotient's cliques: a vertex of class i lies on
+        the product of the other classes' live sizes per clique through i.
+        Twins tie, so the bound ranks classes and deletes the best class's
+        lowest live member; ties go to the lowest such member, which is the
+        lowest vertex of maximum count.
         """
-        g = self.g
-        live = pool
+        live = [cls & pool for cls in self.classes]
+        alive = 0  # the classes that meet the pool, as a mask over indices
+        for i, members in enumerate(live):
+            if members:
+                alive |= 1 << i
+        cliques = [c for cm, c in self.class_cliques if cm & alive == cm]
+        sizes = [members.bit_count() for members in live]
         hits = 0
         while hits <= cutoff:
             self._tick()
-            if next(enumerate_cliques(g, self.p, live), None) is None:
+            if not cliques:
                 return hits
-            best_v, best_c = -1, -1
-            for v in bits(live):
-                c = self._cliques_at(v, live)
-                if c > best_c:
-                    best_c, best_v = c, v
-            live ^= 1 << best_v
+            if hits == cutoff:
+                break  # one more deletion gives cutoff + 1 whichever it is
+            counts: dict[int, int] = {}
+            for c in cliques:
+                prod = 1
+                for i in c:
+                    prod *= sizes[i]
+                for i in c:
+                    counts[i] = counts.get(i, 0) + prod // sizes[i]
+            best = max(counts, key=lambda i: (counts[i], -(live[i] & -live[i])))
+            live[best] &= live[best] - 1
+            sizes[best] -= 1
+            if not sizes[best]:
+                cliques = [c for c in cliques if best not in c]
             hits += 1
         return cutoff + 1
 

@@ -4,7 +4,8 @@ import json
 import pytest
 
 from satedge.cli import Config, ConfigError, load_config, main
-from satedge.constructions import turan_number
+from satedge import constructions
+from satedge.constructions import h1, turan_number
 from satedge.formulas import (
     density_threshold_high,
     density_threshold_low,
@@ -124,6 +125,17 @@ def test_construct_parts(capsys, h1_310):
     parts = json.loads(out)
     assert parts == [sorted(bits(mask)) for mask in h1_310.parts]
     assert sorted(v for part in parts for v in part) == list(range(66))
+
+
+def test_construct_parts_builds_no_graph(capsys, monkeypatch):
+    def no_build(spec):
+        raise AssertionError("--parts built the blow-up graph")
+
+    monkeypatch.setattr(constructions, "blow_up", no_build)
+    code, out, _ = run(capsys, ["construct", "h1", "--p", "3", "--x", "100", "--parts"])
+    assert code == 0
+    parts = json.loads(out)
+    assert sorted(v for part in parts for v in part) == list(range(h1(3, 100, 0).spec.n))
 
 
 def test_construct_parts_unavailable_exits_2(capsys):

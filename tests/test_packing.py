@@ -1,13 +1,15 @@
 import json
+import random
 from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
 
 from satedge import packing
-from satedge.constructions import h0, h1, h2, turan_graph
-from satedge.graph import build_graph, induced_edges, mask_of
+from satedge.constructions import h0, h1, h2, turan_graph, turan_number
+from satedge.graph import bits, build_graph, enumerate_cliques, induced_edges, mask_of
 from satedge.packing import (
+    DEFAULT_PACKING_BUDGET,
     BudgetExceededError,
     analyze,
     best_r_star,
@@ -58,17 +60,34 @@ def test_max_packing_h1(h1_310_packing):
 
 
 def test_max_packing_budget_error(h1_310):
-    # the search certifies h1(3,1,0) in 6 nodes
+    # the search certifies h1(3,1,0) in 7 nodes: 1 quotient triangle, 6 search nodes
     with pytest.raises(BudgetExceededError):
         max_packing(h1_310.graph, 3, budget=3)
 
 
 def test_certify_shares_the_packing_budget():
-    # 20 nodes find the optimum, about 400 walk every maximum packing
+    # 16 listed quotient triangles and 20 search nodes find the optimum;
+    # walking every maximum packing takes about 380 more
     g = random_kpfree_graph(12, 4, seed=0)
     pk = max_packing(g, 3, budget=100)
     with pytest.raises(BudgetExceededError, match="packing search exceeded 100 nodes"):
         certify_remainder_maximal(pk, budget=100)
+
+
+def test_packing_search_work_is_pinned(h1_310, deep_host):
+    # one node per listed quotient clique, then one per search node and per
+    # bound step; every blow-up of base_graph(p) has one quotient p-clique
+    search = packing._PackSearch(h1_310.graph, 3, DEFAULT_PACKING_BUDGET)
+    assert len(search.optimum()) == 4
+    assert (len(search.class_cliques), search.nodes) == (1, 1 + 6)
+
+    search = packing._PackSearch(h1(4, 1, 0).graph, 4, DEFAULT_PACKING_BUDGET)
+    assert len(search.optimum()) == 24
+    assert (len(search.class_cliques), search.nodes) == (1, 1 + 26)
+
+    search = packing._PackSearch(deep_host, 3, DEFAULT_PACKING_BUDGET)
+    assert list(search.packings(len(search.optimum()))) == [((1097, 1098, 1099),)]
+    assert (len(search.class_cliques), search.nodes) == (1, 1 + 2201)
 
 
 def test_deep_host_needs_no_recursion(deep_host):
@@ -98,12 +117,35 @@ def _max_triangle_families(g):
     return best
 
 
-def _oracle_hosts():
+def _planted_twin_host(seed, k, p, max_n=None):
+    """A K_{p+1}-free base on k vertices, one to three edges short of the
+    Turán count so that it is rarely complete multipartite, with each vertex
+    copied 1..3 times into an independent set of false twins, the copies'
+    labels shuffled.  With max_n, the largest copy counts shrink until at
+    most max_n vertices remain."""
+    rng = random.Random(seed)
+    base = random_kpfree_graph(k, p + 1, seed=seed, target_edges=turan_number(k, p + 1) - rng.randint(1, 3))
+    copies = [rng.randint(1, 3) for _ in range(k)]
+    while max_n is not None and sum(copies) > max_n:
+        copies[copies.index(max(copies))] -= 1
+    owner = [b for b in range(k) for _ in range(copies[b])]
+    rng.shuffle(owner)
+    n = len(owner)
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if base.has_edge(owner[u], owner[v])])
+
+
+def _atlas():
     nx = pytest.importorskip("networkx")
     for nxg in nx.graph_atlas_g():
         yield build_graph(nxg.number_of_nodes(), nxg.edges())
+
+
+def _oracle_hosts():
+    yield from _atlas()
     for seed in range(30):
         yield random_kpfree_graph(9 + seed % 3, 4, seed=seed)
+    for seed in range(20):
+        yield _planted_twin_host(seed, 5 + seed % 3, 3, max_n=11)
 
 
 def test_packings_match_brute_force_oracle():
@@ -120,7 +162,55 @@ def test_packings_match_brute_force_oracle():
         assert max_remainder_packing(g, 3).cliques == min(f for f in families if remainder_edges(f) == best), g.adj
         assert certify_remainder_maximal(pk) == (remainder_edges(pk.cliques) == best, best), g.adj
         checked += 1
-    assert checked == 1253 + 30
+    assert checked == 1253 + 30 + 20
+
+
+def _vertex_upper_bound(search, pool, cutoff, cap=512):
+    """The greedy hitting-set bound ranked vertex by vertex, as before the
+    quotient ranking: at every step each live vertex's p-cliques are
+    enumerated again and counted up to `cap`, and the lowest vertex of
+    maximum count is deleted.  Returns (bound, steps)."""
+    g, p = search.g, search.p
+    live = pool
+    hits = steps = 0
+    while hits <= cutoff:
+        steps += 1
+        if next(enumerate_cliques(g, p, live), None) is None:
+            return hits, steps
+        best_v, best_c = -1, -1
+        for v in bits(live):
+            c = 0
+            for _ in enumerate_cliques(g, p - 1, live & g.adj[v]):
+                c += 1
+                if c >= cap:
+                    break
+            if c > best_c:
+                best_c, best_v = c, v
+        live ^= 1 << best_v
+        hits += 1
+    return cutoff + 1, steps
+
+
+def _bound_hosts(p):
+    yield from _atlas()
+    for seed in range(20):
+        yield random_kpfree_graph(8 + seed % 8, p + 1, seed=seed)
+        yield _planted_twin_host(seed, 5 + seed % 5, p)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_upper_bound_matches_vertex_ranking(p):
+    # same bound and one node per step, on whole and random pools
+    rng = random.Random(p)
+    for g in _bound_hosts(p):
+        search = packing._PackSearch(g, p, DEFAULT_PACKING_BUDGET)
+        full = g.vertices_mask()
+        pools = (full, full & rng.getrandbits(g.n), full & (rng.getrandbits(g.n) | rng.getrandbits(g.n)))
+        for pool in pools:
+            for cutoff in range(4):
+                before = search.nodes
+                bound = search.upper_bound(pool, cutoff)
+                assert (bound, search.nodes - before) == _vertex_upper_bound(search, pool, cutoff), (g.adj, pool)
 
 
 def test_make_packing_validation(prism):
@@ -245,6 +335,8 @@ QUOTIENT_PACKING_CELLS = (
     [(h0, (3, x)) for x in (1, 2)]
     + [(h1, (3, 1, y)) for y in range(4)]
     + [(h1, (3, 2, 0)), (h2, (3, 1, 0)), (h2, (3, 1, 1))]
+    + [(h0, (4, 1))]
+    + [(h1, (4, 1, y)) for y in range(4)]
 )
 
 
@@ -255,9 +347,10 @@ QUOTIENT_PACKING_CELLS = (
 )
 def test_max_packing_matches_quotient_oracle(family, cell):
     bu = family(*cell)
-    pk = max_packing(bu.graph, 3)
+    p = cell[0]
+    pk = max_packing(bu.graph, p)
     assert pk.certified
-    assert pk.size == min(bu.spec.sizes[:3])
+    assert pk.size == min(bu.spec.sizes[:p])
 
 
 def test_analyze_rejects_clique_host():
