@@ -308,11 +308,9 @@ def _cmd_verify(args, cfg: Config) -> int:
     else:
         print(reports_to_json(reports))
     bad = failures(reports)
-    if bad:
-        for rep in bad:
-            print(f"FAIL {rep.check_id} {rep.params}", file=sys.stderr)
-        return 1
-    return 0
+    for rep in bad:
+        print(f"FAIL {rep.check_id} {rep.params}" + (f": {rep.reason}" if rep.reason else ""), file=sys.stderr)
+    return 1 if bad else 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -289,6 +289,15 @@ def switch(packing: CliquePacking, index: int, c_out: Iterable[int], c_in: Itera
     return make_packing(g, packing.p, cliques, certified=packing.certified)
 
 
+def switch_candidates(packing: CliquePacking, index: int, c_out: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Every c_in that switch(packing, index, c_out, c_in) accepts, in
+    lexicographic order; c_out must be a subset of the indexed clique."""
+    out = mask_of(c_out)
+    kept = mask_of(packing.cliques[index]) & ~out
+    cand = packing.remainder & common_neighborhood(packing.host, kept) if kept else packing.remainder
+    yield from enumerate_cliques(packing.host, out.bit_count(), cand)
+
+
 def check_switch_inequality(
     packing: CliquePacking, index: int, c_out: Iterable[int], c_in: Iterable[int]
 ) -> tuple[int, int, bool]:
@@ -331,13 +340,8 @@ def _first_improving_switch(
     for index, r_old in enumerate(packing.cliques):
         for c_size in range(1, packing.p + 1):
             for c_out in combinations(r_old, c_size):
-                kept = set(r_old) - set(c_out)
-                if kept:
-                    cand = common_neighborhood(g, mask_of(kept)) & h_mask
-                else:
-                    cand = h_mask
                 out_mask = mask_of(c_out)
-                for c_in in enumerate_cliques(g, c_size, cand):
+                for c_in in switch_candidates(packing, index, c_out):
                     new_h = (h_mask & ~mask_of(c_in)) | out_mask
                     if induced_edges(g, new_h) > h_edges:
                         return index, c_out, c_in

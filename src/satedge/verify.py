@@ -2,7 +2,10 @@
 closed forms, each emitted as a machine-readable report.
 
 Failures are data, not exceptions: every check produces a CheckReport with
-the compared values, and only malformed inputs raise.  Checks whose
+the compared values, and only malformed inputs raise.  A check the library
+itself raises CheckFailedError on becomes a fail report whose reason is the
+error's message.  Each report's elapsed is the time since the previous
+report of the same run (or since the run began).  Checks whose
 mathematical guarantee needs hypotheses that desk-scale instances cannot
 meet are marked informational so a harness run can separate implementation
 bugs from out-of-range instances.
@@ -16,9 +19,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .graph import Graph, bits, common_neighborhood, contains_clique, enumerate_cliques, mask_of
+from .graph import Graph, bits, contains_clique
 from .constructions import (
     check_construction_edge_identity,
     h1,
@@ -55,8 +58,17 @@ from .packing import (
     check_switch_inequality,
     max_packing,
     refine_packing,
+    switch_candidates,
 )
 from .search import min_saturating
+
+# Hosts above this many vertices get the saturating count without its edge
+# list, so the V-part edge census is skipped there.
+EDGE_CENSUS_LIMIT = 300
+# Vertex counts at which the density quadratic's minimum identity is checked.
+DENSITY_SAMPLES = (1, 2, 66, 10 ** 6)
+# The extremal-host checks that read the best clique's analysis.
+_BEST_CLIQUE_CHECKS = ("attachment-fraction-bound", "touching-saturating-bound", "attachment-sets-empty-probe")
 
 
 @dataclass(frozen=True)
@@ -90,21 +102,36 @@ class CheckReport:
         }
 
 
-def _check(check_id, params, ok, lhs=None, rhs=None, informational=False, started=None) -> CheckReport:
-    elapsed = time.perf_counter() - started if started is not None else 0.0
-    return CheckReport(
-        check_id=check_id,
-        params=dict(params),
-        status="pass" if ok else "fail",
-        lhs=lhs,
-        rhs=rhs,
-        informational=informational,
-        elapsed=elapsed,
-    )
+class _Recorder:
+    """The reports of one run, each stamped with the time since the last."""
 
+    def __init__(self):
+        self.reports: list[CheckReport] = []
+        self._last = 0.0
+        self.lap()
 
-def _skip(check_id, params, reason) -> CheckReport:
-    return CheckReport(check_id=check_id, params=dict(params), status="skip", reason=reason)
+    def lap(self) -> float:
+        now = time.perf_counter()
+        elapsed, self._last = now - self._last, now
+        return elapsed
+
+    def add(self, check_id, params, status, lhs=None, rhs=None, informational=False, reason=""):
+        self.reports.append(CheckReport(check_id, dict(params), status, lhs, rhs, informational, reason, self.lap()))
+
+    def check(self, check_id, params, ok, lhs=None, rhs=None, informational=False):
+        self.add(check_id, params, "pass" if ok else "fail", lhs, rhs, informational)
+
+    def run(self, check_id, params, call: Callable[[], object], judge: Callable[[object], tuple]):
+        """Record call()'s result as judge(result) = (ok, lhs, rhs) and return
+        it; a CheckFailedError from the call is recorded as a fail carrying
+        its message, and None is returned."""
+        try:
+            result = call()
+        except CheckFailedError as exc:
+            self.add(check_id, params, "fail", reason=str(exc))
+            return None
+        self.check(check_id, params, *judge(result))
+        return result
 
 
 def reports_to_json(reports: Iterable[CheckReport]) -> str:
@@ -157,53 +184,41 @@ def verify_constructions(
     p_values: Sequence[int] = (3, 4, 5),
     x_values: Sequence[int] = (1,),
     y_values: Sequence[int] = (0, 1, 2),
-    edge_set_limit: int = 300,
 ) -> list[CheckReport]:
     """Vertex/edge counts, clique-freeness, and the saturating-edge census
     of the exact-edge-count construction across a parameter grid."""
-    reports: list[CheckReport] = []
+    rec = _Recorder()
     for p in p_values:
         for x in x_values:
             for y in y_values:
                 params = {"p": p, "x": x, "y": y}
                 if not p * (p - 1) * (3 * p - 4) * x > y:
-                    reports.append(_skip("h1-feasible", params, "remainder guard violated"))
+                    rec.add("h1-feasible", params, "skip", reason="remainder guard violated")
                     continue
-                t0 = time.perf_counter()
                 bu = h1(p, x, y)
                 g = bu.graph
                 n = modulus(p) * x + y
-                reports.append(_check("h1-vertex-count", params, g.n == n, g.n, n, started=t0))
-                t0 = time.perf_counter()
+                rec.check("h1-vertex-count", params, g.n == n, g.n, n)
                 ex = turan_number(n, p)
-                reports.append(_check("h1-edge-count", params, g.m == ex, g.m, ex, started=t0))
-                t0 = time.perf_counter()
+                rec.check("h1-edge-count", params, g.m == ex, g.m, ex)
                 free = not contains_clique(g, p + 1)
-                reports.append(_check("h1-clique-free", params, free, free, True, started=t0))
-                t0 = time.perf_counter()
+                rec.check("h1-clique-free", params, free, free, True)
                 closed = h1_saturating_count(p, x, y)
-                report = count_saturating(g, p + 1, edges=g.n <= edge_set_limit)
-                reports.append(
-                    _check("h1-saturating-count", params, report.total == closed, report.total, closed, started=t0)
-                )
+                report = count_saturating(g, p + 1, edges=g.n <= EDGE_CENSUS_LIMIT)
+                rec.check("h1-saturating-count", params, report.total == closed, report.total, closed)
                 if report.edges is not None:
-                    t0 = time.perf_counter()
                     expected = {pair for part in bu.v_parts for pair in combinations(bits(part), 2)}
-                    reports.append(
-                        _check(
-                            "h1-saturating-edges-in-v-parts",
-                            params,
-                            set(report.edges) == expected,
-                            len(report.edges),
-                            len(expected),
-                            started=t0,
-                        )
+                    rec.check(
+                        "h1-saturating-edges-in-v-parts",
+                        params,
+                        set(report.edges) == expected,
+                        len(report.edges),
+                        len(expected),
                     )
                 else:
-                    reports.append(
-                        _skip("h1-saturating-edges-in-v-parts", params, f"edge census gated above n={edge_set_limit}")
-                    )
-    return reports
+                    reason = f"edge census gated above n={EDGE_CENSUS_LIMIT}"
+                    rec.add("h1-saturating-edges-in-v-parts", params, "skip", reason=reason)
+    return rec.reports
 
 
 def verify_reduction(g: Graph, p: int) -> CheckReport:
@@ -220,40 +235,31 @@ def verify_reduction(g: Graph, p: int) -> CheckReport:
         raise ValueError(f"host must have turan_number({n},{p})+1 = {turan_number(n, p) + 1} edges, has {g.m}")
     if not contains_clique(g, p):
         raise ValueError("host unexpectedly has no p-clique despite exceeding the extremal count")
-    t0 = time.perf_counter()
-    removal = None
+    rec = _Recorder()
     for u, v in g.edges():
         stripped = g.without_edge(u, v)
         if contains_clique(stripped, p):
-            removal = (u, v, stripped)
+            before = count_saturating(g, p + 1).total
+            after = count_saturating(stripped, p + 1).total
+            params["removed"] = (u, v)
+            rec.check("reduction-monotone", params, before >= after, before, after)
             break
-    if removal is None:
-        return _check("reduction-monotone", params, False, None, None, started=t0)
-    u, v, stripped = removal
-    before = count_saturating(g, p + 1).total
-    after = count_saturating(stripped, p + 1).total
-    params["removed"] = (u, v)
-    return _check("reduction-monotone", params, before >= after, before, after, started=t0)
+    else:
+        rec.check("reduction-monotone", params, False)
+    return rec.reports[0]
 
 
 def _sample_switches(
     pk: CliquePacking, trials: int, rng: random.Random
 ) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """Up to `trials` admissible (index, out-set, in-clique) switch moves."""
-    g = pk.host
-    out: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-    if not pk.cliques:
-        return out
+    out = []
     for _ in range(trials * 4):
-        if len(out) >= trials:
+        if len(out) >= trials or not pk.cliques:
             break
         index = rng.randrange(len(pk.cliques))
-        clique = pk.cliques[index]
-        c_size = rng.randint(1, pk.p)
-        c_out = tuple(sorted(rng.sample(clique, c_size)))
-        kept = set(clique) - set(c_out)
-        cand = common_neighborhood(g, mask_of(kept)) & pk.remainder if kept else pk.remainder
-        options = list(enumerate_cliques(g, c_size, cand))
+        c_out = tuple(sorted(rng.sample(pk.cliques[index], rng.randint(1, pk.p))))
+        options = list(switch_candidates(pk, index, c_out))
         if options:
             out.append((index, c_out, options[rng.randrange(len(options))]))
     return out
@@ -266,167 +272,116 @@ def verify_packing_lemmas(g: Graph, p: int, trials: int = 20, seed: int = 0) -> 
     local maximum, then checks the neighbor-count partition identities, a
     seeded sample of switch inequalities, and (when the host has exactly
     the extremal edge count) the best-clique and touching-edge bounds.
+    Reports of what analyze and best_r_star check pass when the call returns.
     """
-    params = {"n": g.n, "p": p, "seed": seed}
+    n = g.n
+    params = {"n": n, "p": p, "seed": seed}
+    rec = _Recorder()
     try:
         pk = max_packing(g, p)
     except BudgetExceededError as exc:
-        return [_skip("packing-built", params, str(exc))]
-    t0 = time.perf_counter()
+        rec.add("packing-built", params, "skip", reason=str(exc))
+        return rec.reports
     refined = refine_packing(pk)
-    reports = [
-        _check(
-            "refine-keeps-size-and-remainder-edges",
-            params,
-            refined.size == pk.size,
-            refined.size,
-            pk.size,
-            started=t0,
-        )
-    ]
-    rng = random.Random(seed)
-    n = g.n
+    rec.check("refine-keeps-size-and-remainder-edges", params, refined.size == pk.size, refined.size, pk.size)
     r = refined.density
 
-    for index in range(refined.size):
-        t0 = time.perf_counter()
-        try:
-            an = analyze(refined, index)
-        except CheckFailedError:
-            reports.append(_check("z-a-partition-identities", {**params, "index": index}, False, started=t0))
-            continue
-        ok = sum(an.z[:p]) == 1 - p * r and sum(Fraction(a.bit_count(), n) for a in an.A) == an.z[p - 1]
-        reports.append(
-            _check(
-                "z-a-partition-identities",
-                {**params, "index": index},
-                ok,
-                str(sum(an.z[:p])),
-                str(1 - p * r),
-                started=t0,
-            )
+    analyses = [
+        rec.run(
+            "z-a-partition-identities",
+            {**params, "index": index},
+            lambda: analyze(refined, index),
+            lambda an: (True, str(sum(an.z[:p])), str(1 - p * r)),
         )
+        for index in range(refined.size)
+    ]
 
-    t0 = time.perf_counter()
-    moves = _sample_switches(refined, trials, rng)
+    moves = _sample_switches(refined, trials, random.Random(seed))
     if moves:
-        holds = []
-        for index, c_out, c_in in moves:
-            lhs, rhs, ok = check_switch_inequality(refined, index, c_out, c_in)
-            holds.append(ok)
-        reports.append(
-            _check("switch-inequality-sample", {**params, "moves": len(moves)}, all(holds), sum(holds), len(moves), started=t0)
-        )
+        holds = [check_switch_inequality(refined, *move)[2] for move in moves]
+        rec.check("switch-inequality-sample", {**params, "moves": len(moves)}, all(holds), sum(holds), len(moves))
     else:
-        reports.append(_skip("switch-inequality-sample", params, "no admissible switches found"))
+        rec.add("switch-inequality-sample", params, "skip", reason="no admissible switches found")
 
-    extremal = g.m == turan_number(n, p)
-    if extremal and refined.size > 0:
-        t0 = time.perf_counter()
+    skipped = ("best-clique-edge-bound",) + _BEST_CLIQUE_CHECKS
+    if g.m != turan_number(n, p):
+        reason = "host is not edge-extremal"
+    elif not refined.size:
+        reason = "empty packing"
+    else:
         delta = turan_defect(n, p)
-        index, value = best_r_star(refined)
         bound = best_clique_edge_bound(n, p, r, delta)
-        reports.append(_check("best-clique-edge-bound", params, Fraction(value) >= bound, value, str(bound), started=t0))
-        t0 = time.perf_counter()
-        an = analyze(refined, index)
-        zb = attachment_fraction_bound(n, p, r, delta)
-        reports.append(
-            _check("attachment-fraction-bound", params, an.z[p - 1] >= zb, str(an.z[p - 1]), str(zb), started=t0)
+        best = rec.run(
+            "best-clique-edge-bound", params, lambda: best_r_star(refined), lambda found: (True, found[1], str(bound))
         )
-        t0 = time.perf_counter()
-        ell1, ell2 = an.ell1, an.ell2
-        tb = touching_saturating_bound(n, p, r, delta)
-        reports.append(_check("touching-saturating-bound", params, Fraction(ell1) >= tb, ell1, str(tb), started=t0))
-        t0 = time.perf_counter()
-        empties = [i for i, a in enumerate(an.A) if a == 0]
-        reports.append(
-            _check(
-                "attachment-sets-empty-probe",
-                {**params, "clique": an.clique},
-                True,
-                empties,
-                None,
-                informational=True,
-                started=t0,
+        skipped = _BEST_CLIQUE_CHECKS
+        if best is None:
+            reason = "best-clique-edge-bound failed"
+        elif (an := analyses[best[0]]) is None:
+            reason = f"z-a-partition-identities failed at index {best[0]}"
+        else:
+            zb = attachment_fraction_bound(n, p, r, delta)
+            rec.check("attachment-fraction-bound", params, True, str(an.z[p - 1]), str(zb))
+            tb = touching_saturating_bound(n, p, r, delta)
+            rec.check("touching-saturating-bound", params, Fraction(an.ell1) >= tb, an.ell1, str(tb))
+            empties = [i for i, a in enumerate(an.A) if a == 0]
+            rec.check(
+                "attachment-sets-empty-probe", {**params, "clique": an.clique}, True, empties, informational=True
             )
-        )
-    else:
-        reason = "host is not edge-extremal" if not extremal else "empty packing"
-        for cid in (
-            "best-clique-edge-bound",
-            "attachment-fraction-bound",
-            "touching-saturating-bound",
-            "attachment-sets-empty-probe",
-        ):
-            reports.append(_skip(cid, params, reason))
-    return reports
+            skipped = ()
+    for check_id in skipped:
+        rec.add(check_id, params, "skip", reason=reason)
+    return rec.reports
 
 
-def verify_appendices(p_max: int = 100, n_samples: Sequence[int] = (1, 2, 66, 10 ** 6)) -> list[CheckReport]:
+def verify_appendices(p_max: int = 100) -> list[CheckReport]:
     """Positivity sweeps, polynomial identities, and the quadratic-minimum
     identity, all in exact arithmetic."""
-    reports: list[CheckReport] = []
-    t0 = time.perf_counter()
-    try:
-        margin_f, margin_g = positivity_sweep(p_max)
-        reports.append(
-            _check("positivity-sweep", {"p_max": p_max}, True, str(margin_f), str(margin_g), started=t0)
-        )
-    except CheckFailedError as exc:
-        reports.append(CheckReport("positivity-sweep", {"p_max": p_max}, "fail", reason=str(exc)))
+    rec = _Recorder()
+    rec.run(
+        "positivity-sweep", {"p_max": p_max}, lambda: positivity_sweep(p_max), lambda m: (True, str(m[0]), str(m[1]))
+    )
 
-    t0 = time.perf_counter()
     ok = all(
         positivity_poly_f(p) == positivity_poly_f_expanded(p)
         and positivity_poly_g(p) == positivity_poly_g_expanded(p)
         for p in range(-p_max, p_max + 1)
     )
-    reports.append(_check("polynomial-forms-agree", {"p_max": p_max}, ok, started=t0))
+    rec.check("polynomial-forms-agree", {"p_max": p_max}, ok)
 
-    t0 = time.perf_counter()
-    ok = all(
-        check_density_quadratic_identity(p, n)[0]
-        for p in range(3, min(p_max, 50) + 1)
-        for n in n_samples
-    )
-    reports.append(_check("density-quadratic-minimum", {"p_max": min(p_max, 50), "n": list(n_samples)}, ok, started=t0))
+    ok = all(check_density_quadratic_identity(p, n)[0] for p in range(3, min(p_max, 50) + 1) for n in DENSITY_SAMPLES)
+    rec.check("density-quadratic-minimum", {"p_max": min(p_max, 50), "n": list(DENSITY_SAMPLES)}, ok)
 
-    t0 = time.perf_counter()
     ok = all(density_threshold_low(p) < density_threshold_high(p) for p in range(3, p_max + 1))
-    reports.append(_check("threshold-order", {"p_max": p_max}, ok, started=t0))
+    rec.check("threshold-order", {"p_max": p_max}, ok)
 
-    t0 = time.perf_counter()
     big = 10 ** 6
     ok = all(linear_bracket(big, p)[0] <= linear_bracket(big, p)[1] for p in range(3, p_max + 1))
-    reports.append(_check("bracket-order", {"p_max": p_max, "n": big}, ok, started=t0))
+    rec.check("bracket-order", {"p_max": p_max, "n": big}, ok)
 
-    t0 = time.perf_counter()
-    ok = True
-    for p in range(3, 7):
-        for x in (1, 2):
-            for y in (0, 1, 2):
-                if p * (p - 1) * (3 * p - 4) * x > y:
-                    ok = ok and h1_saturating_count(p, x, y) == h1_saturating_count_binomial(p, x, y)
-    reports.append(_check("closed-form-binomial-agreement", {"p": "3..6", "x": "1..2", "y": "0..2"}, ok, started=t0))
+    ok = all(
+        h1_saturating_count(p, x, y) == h1_saturating_count_binomial(p, x, y)
+        for p in range(3, 7)
+        for x in (1, 2)
+        for y in (0, 1, 2)
+    )
+    rec.check("closed-form-binomial-agreement", {"p": "3..6", "x": "1..2", "y": "0..2"}, ok)
 
-    t0 = time.perf_counter()
     ok = all(
         exact_minimum_divisible(modulus(p) * x, p) == h1_saturating_count(p, x, 0)
         for p in range(3, 6)
         for x in (1, 2)
     )
-    reports.append(_check("divisible-minimum-consistency", {"p": "3..5", "x": "1..2"}, ok, started=t0))
+    rec.check("divisible-minimum-consistency", {"p": "3..5", "x": "1..2"}, ok)
 
-    t0 = time.perf_counter()
     ok = all(check_construction_edge_identity(n, p) for p in range(3, 9) for n in range(0, 120))
-    reports.append(_check("edge-count-defect-identity", {"p": "3..8", "n": "0..119"}, ok, started=t0))
-    return reports
+    rec.check("edge-count-defect-identity", {"p": "3..8", "n": "0..119"}, ok)
+    return rec.reports
 
 
 def verify_all_small(seed: int = 7) -> list[CheckReport]:
     """The default desk-scale harness run; completes in well under a minute."""
-    reports: list[CheckReport] = []
-    reports += verify_constructions(p_values=(3, 4), x_values=(1,), y_values=(0, 1, 2))
+    reports = verify_constructions(p_values=(3, 4), x_values=(1,), y_values=(0, 1, 2))
     bu = h2(3, 1, 1)
     target = turan_number(bu.graph.n, 3) + 1
     trimmed = trim_to_target(bu, target)
@@ -437,10 +392,13 @@ def verify_all_small(seed: int = 7) -> list[CheckReport]:
         g = random_kpfree_graph(n, 4, seed=seed + i, target_edges=turan_number(n, 4) - n)
         reports += verify_packing_lemmas(g, 3, trials=10, seed=seed + i)
     reports += verify_appendices(p_max=60)
-    t0 = time.perf_counter()
-    zero = min_saturating(6, 9, 4)
-    reports.append(
-        _check("zero-law-at-extremal-count", {"n": 6, "e": 9, "p": 4}, zero.minimum == 0, zero.minimum, 0, started=t0)
+    rec = _Recorder()
+    rec.run(
+        "zero-law-at-extremal-count",
+        {"n": 6, "e": 9, "p": 4},
+        lambda: min_saturating(6, 9, 4),
+        lambda zero: (zero.minimum == 0, zero.minimum, 0),
     )
+    reports += rec.reports
     reports.sort(key=lambda rep: rep.check_id)
     return reports

@@ -3,8 +3,8 @@
 No module imports another module's private (`_`-prefixed) name, and no
 function imports from the package inside its body: every dependency
 between modules is public and visible at the top of the importing file.
-No module uses `assert`, which `python -O` strips: checks raise a named
-error instead.
+No module or script uses `assert`, which `python -O` strips: checks raise a
+named error or count as a failure instead.
 """
 
 import ast
@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "satedge"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "satedge"
 MODULES = sorted(PACKAGE.glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def _package_imports(tree):
@@ -48,7 +50,7 @@ def test_no_private_or_function_local_package_imports(path):
     assert not problems, "\n".join(problems)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda path: path.stem)
 def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

@@ -22,6 +22,7 @@ from satedge.packing import (
     packing_from_json,
     refine_packing,
     switch,
+    switch_candidates,
 )
 from satedge.saturation import CliquePresentError, count_saturating
 from satedge.verify import random_kpfree_graph
@@ -411,11 +412,16 @@ def test_switch_inequality_on_certified_instances():
                     cand = cert.remainder
                     for k in kept:
                         cand &= g.adj[k]
-                    for c_in in combinations(sorted(v for v in range(n) if cand >> v & 1), size):
-                        if all(g.has_edge(u, v) for u, v in combinations(c_in, 2)):
-                            lhs, rhs, holds = check_switch_inequality(cert, index, c_out, c_in)
-                            assert holds, (seed, index, c_out, c_in, lhs, rhs)
-                            held += 1
+                    options = [
+                        c_in
+                        for c_in in combinations(sorted(v for v in range(n) if cand >> v & 1), size)
+                        if all(g.has_edge(u, v) for u, v in combinations(c_in, 2))
+                    ]
+                    assert list(switch_candidates(cert, index, c_out)) == options
+                    for c_in in options:
+                        lhs, rhs, holds = check_switch_inequality(cert, index, c_out, c_in)
+                        assert holds, (seed, index, c_out, c_in, lhs, rhs)
+                        held += 1
     assert held > 50
 
 

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from satedge.constructions import h2, trim_to_target, turan_number
+from satedge import packing, verify
+from satedge.cli import main
+from satedge.constructions import h1, h2, trim_to_target, turan_number
+from satedge.formulas import CheckFailedError
 from satedge.graph import build_graph, contains_clique
 from satedge.verify import (
     CheckReport,
@@ -87,8 +90,57 @@ def test_verify_packing_lemmas_skips_off_extremal():
     assert "best-clique-edge-bound" in skipped
 
 
+EXTREMAL_TAIL = ("attachment-fraction-bound", "touching-saturating-bound", "attachment-sets-empty-probe")
+
+
+@pytest.fixture
+def forced_bound(monkeypatch):
+    """best_r_star's edge bound raised past any host, so best_r_star raises."""
+    monkeypatch.setattr(packing, "best_clique_edge_bound", lambda n, p, r, delta: 10 ** 9)
+
+
+def test_best_r_star_failure_is_a_fail_report(forced_bound):
+    g = h1(3, 1, 0).graph
+    with pytest.raises(CheckFailedError) as raised:
+        packing.best_r_star(packing.refine_packing(packing.max_packing(g, 3)))
+    reports = verify_packing_lemmas(g, 3)
+    best = [r for r in reports if r.check_id == "best-clique-edge-bound"]
+    assert [(r.status, r.reason) for r in best] == [("fail", str(raised.value))]
+    for check_id in EXTREMAL_TAIL:
+        tail = [r for r in reports if r.check_id == check_id]
+        assert len(tail) == 1 and tail[0].status == "skip"
+        assert "best-clique-edge-bound" in tail[0].reason
+
+
+def test_analyze_failure_is_a_fail_report(monkeypatch):
+    real = verify.analyze
+
+    def analyze(pk, index):
+        if index == 0:
+            raise CheckFailedError("forced failure at index 0")
+        return real(pk, index)
+
+    monkeypatch.setattr(verify, "analyze", analyze)
+    reports = verify_packing_lemmas(h1(3, 1, 0).graph, 3)
+    identities = [r for r in reports if r.check_id == "z-a-partition-identities"]
+    assert [(r.status, r.reason) for r in identities] == [("fail", "forced failure at index 0")] + [("pass", "")] * 3
+    # clique 0 is the best clique, so the checks that read its analysis are skipped
+    assert [r.status for r in reports if r.check_id in EXTREMAL_TAIL] == ["skip"] * 3
+
+
+def test_cli_verify_reports_a_library_failure(forced_bound, capsys):
+    assert main(["verify", "--small"]) == 1
+    captured = capsys.readouterr()
+    reports = json.loads(captured.out)
+    assert len(reports) == 80
+    failed = [r for r in reports if r["status"] == "fail"]
+    assert [r["check_id"] for r in failed] == ["best-clique-edge-bound"] * 2
+    assert all(r["reason"] for r in failed)
+    assert f": {failed[0]['reason']}" in captured.err
+
+
 def test_verify_appendices_pass():
-    reports = verify_appendices(p_max=40, n_samples=(1, 2, 66))
+    reports = verify_appendices(p_max=40)
     assert not failures(reports)
     ids = {r.check_id for r in reports}
     assert "positivity-sweep" in ids
