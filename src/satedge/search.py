@@ -9,17 +9,35 @@ dense edge counts are practical through roughly n = 10.
 
 Canonical form: vertices are first partitioned by iterated degree
 refinement; the canonical labeling is the class-respecting relabeling that
-minimizes the upper-triangle adjacency bit string, found by prefix-pruned
-backtracking.  No external isomorphism code is involved.
+minimizes the upper-triangle adjacency bit string read column by column,
+and of several minimizing relabelings the first found by a depth-first
+search that tries each position's candidates by increasing label.  Three
+exact shortcuts keep this fast without changing the answer:
+
+- Refinement re-splits cells only against the pieces of the cells that
+  split in the last round (the splitter cells of McKay & Piperno,
+  "Practical graph isomorphism II", 2014).  Members of one cell already
+  agree on their counts to every older cell, so the colours are those of
+  re-reading every cell each round.
+- Every candidate at a position adds a column of the same length after the
+  same prefix, so only the candidates with the least column can lead to the
+  least string; the others are never entered.
+- Two free vertices with equal neighbourhoods (false twins) or equal closed
+  neighbourhoods (true twins) are swapped by an automorphism that fixes the
+  prefix, so the later one's subtree repeats the earlier one's strings, and
+  it is skipped.  The first minimizing leaf lies under the earlier one.
+
+No automorphism group is stored, and no external isomorphism code is
+involved.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
-from .graph import Graph, graph6_decode, graph6_encode
+from .graph import Graph, graph6_encode
 from .constructions import turan_graph, turan_number
 from .formulas import CheckFailedError
 from .saturation import count_saturating
@@ -32,25 +50,45 @@ class InfeasibleError(ValueError):
 
 
 def _refined_colors(g: Graph) -> list[int]:
-    """Stable vertex coloring: iterate (color, neighbor count per color)."""
-    n = g.n
+    """Stable vertex colouring: the cells of iterated (colour, neighbour count
+    per colour) refinement from the degrees, numbered in order.
+
+    Each round splits a cell by its members' neighbour counts to the cells,
+    read in cell order; the pieces take the cell's place, in that vector's
+    order (more neighbours in an earlier cell first).  Members of one cell
+    agree on their counts to every cell of the round before, so only the
+    pieces of the cells that split in the last round can tell them apart:
+    reading the counts against those pieces alone orders the members exactly
+    as the full vectors do.  Refinement stops when no cell splits.
+    """
     adj = g.adj
-    colors = [g.degree(v) for v in range(n)]
-    while True:
-        masks: dict[int, int] = {}
-        for v, c in enumerate(colors):
-            masks[c] = masks.get(c, 0) | 1 << v
-        class_masks = [masks[c] for c in sorted(masks)]
-        # equal colors have equal degrees: orders like sorted neighbor colors
-        sig = [
-            (colors[v], tuple(-(adj[v] & m).bit_count() for m in class_masks))
-            for v in range(n)
-        ]
-        ranking = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [ranking[sig[v]] for v in range(n)]
-        if new == colors:
-            return colors
-        colors = new
+    by_degree: dict[int, list[int]] = {}
+    for v, a in enumerate(adj):
+        by_degree.setdefault(a.bit_count(), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    pieces = cells
+    while pieces:
+        splitters = [sum(1 << v for v in piece) for piece in pieces]
+        refined: list[list[int]] = []
+        pieces = []
+        for cell in cells:
+            groups: dict[tuple[int, ...], list[int]] = {}
+            if len(cell) > 1:
+                for v in cell:
+                    a = adj[v]
+                    groups.setdefault(tuple([-(a & s).bit_count() for s in splitters]), []).append(v)
+            if len(groups) > 1:
+                split = [groups[sig] for sig in sorted(groups)]
+                refined.extend(split)
+                pieces.extend(split)
+            else:
+                refined.append(cell)
+        cells = refined
+    colors = [0] * g.n
+    for c, cell in enumerate(cells):
+        for v in cell:
+            colors[v] = c
+    return colors
 
 
 def canonical_ordering(g: Graph) -> tuple[int, ...]:
@@ -59,53 +97,75 @@ def canonical_ordering(g: Graph) -> tuple[int, ...]:
     Among all orderings listing refinement classes in class order, returns
     the one minimizing the adjacency bit string read in column order (the
     graph6 bit order), so canonical graphs give minimal graph6 strings
-    within their class-respecting orbit.
+    within their class-respecting orbit.  Of several minimizing orderings it
+    returns the first when each position tries its class's free vertices by
+    increasing label.
     """
     n = g.n
     if n == 0:
         return ()
     adj = g.adj
     colors = _refined_colors(g)
-    by_class: dict[int, list[int]] = {}
+    k = max(colors) + 1
+    if k == n:  # all cells are singletons: one class-respecting ordering
+        perm = [0] * n
+        for v, c in enumerate(colors):
+            perm[c] = v
+        return tuple(perm)
+    cells: list[list[int]] = [[] for _ in range(k)]
     for v, c in enumerate(colors):
-        by_class.setdefault(c, []).append(v)
-    class_seq: list[int] = []
-    for c in sorted(by_class):
-        class_seq.extend([c] * len(by_class[c]))
+        cells[c].append(v)
+    slots = [cell for cell in cells for _ in cell]
+    # twins[v]: v's false twins (equal neighbourhoods) or true twins (equal
+    # closed neighbourhoods), v included; no vertex has both kinds
+    open_nbhd: dict[int, int] = {}
+    closed_nbhd: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        open_nbhd[a] = open_nbhd.get(a, 0) | 1 << v
+        closed_nbhd[a | 1 << v] = closed_nbhd.get(a | 1 << v, 0) | 1 << v
+    twins = [open_nbhd[a] | closed_nbhd[a | 1 << v] for v, a in enumerate(adj)]
 
-    best_key: Optional[list[int]] = None
+    best_cols: Optional[list[int]] = None
     best_perm: Optional[tuple[int, ...]] = None
     placed: list[int] = []
-    key: list[int] = []
-    used = 0
+    path: list[int] = []
 
-    def rec(pos: int, tight: bool):
-        nonlocal best_key, best_perm, used
+    def descend(pos: int, cols: list[int], used: int, tight: bool) -> bool:
+        """Search below the prefix `placed`; True if it set a new best.
+
+        cols[v] is v's column against the prefix, the first placed vertex in
+        the highest bit, so the ints compare as the bit strings do.  `tight`
+        means the prefix's columns equal the best ordering's (or there is no
+        best yet).
+        """
+        nonlocal best_cols, best_perm
         if pos == n:
-            if best_key is None or key < best_key:
-                best_key = key.copy()
-                best_perm = tuple(placed)
-            return
-        for v in by_class[class_seq[pos]]:
-            if used >> v & 1:
+            if tight and best_cols is not None:
+                return False
+            best_cols, best_perm = path.copy(), tuple(placed)
+            return True
+        cands = [v for v in slots[pos] if not used >> v & 1]
+        low = min([cols[v] for v in cands]) if len(cands) > 1 else cols[cands[0]]
+        if tight and best_cols is not None:
+            if low > best_cols[pos]:
+                return False
+            tight = low == best_cols[pos]
+        found = False
+        path.append(low)
+        for v in cands:
+            # a larger column can only lead to larger strings; a free twin
+            # below v was tried here already, and swapping the two is an
+            # automorphism fixing the prefix that maps its subtree onto v's
+            if cols[v] != low or twins[v] & ~used & ((1 << v) - 1):
                 continue
-            new_bits = [adj[v] >> placed[i] & 1 for i in range(pos)]
-            t = tight
-            if t and best_key is not None:
-                seg = best_key[len(key):len(key) + pos]
-                if new_bits > seg:
-                    continue
-                if new_bits < seg:
-                    t = False
             placed.append(v)
-            key.extend(new_bits)
-            used |= 1 << v
-            rec(pos + 1, t)
-            used ^= 1 << v
-            del key[len(key) - pos:]
+            if descend(pos + 1, [c << 1 | (a >> v & 1) for c, a in zip(cols, adj)], used | 1 << v, tight):
+                found = tight = True
             placed.pop()
+        path.pop()
+        return found
 
-    rec(0, True)
+    descend(0, [0] * n, 0, True)
     if best_perm is None:
         raise CheckFailedError(f"no canonical ordering found for a {n}-vertex graph")
     return best_perm
@@ -114,14 +174,19 @@ def canonical_ordering(g: Graph) -> tuple[int, ...]:
 def canonical_graph(g: Graph) -> Graph:
     """The canonically relabeled copy of g."""
     perm = canonical_ordering(g)
-    n = g.n
-    adj = [0] * n
-    for i, u in enumerate(perm):
-        row = g.adj[u]
-        for j, w in enumerate(perm):
-            if row >> w & 1:
-                adj[i] |= 1 << j
-    return Graph(n, tuple(adj))
+    at = [0] * g.n
+    for i, v in enumerate(perm):
+        at[v] = 1 << i
+    rows = []
+    for v in perm:
+        a = g.adj[v]
+        row = 0
+        while a:
+            low = a & -a
+            row |= at[low.bit_length() - 1]
+            a ^= low
+        rows.append(row)
+    return Graph(g.n, tuple(rows))
 
 
 def canonical_key(g: Graph) -> str:
@@ -137,9 +202,17 @@ def _extend(g: Graph, nbhd: int) -> Graph:
     return Graph(n + 1, tuple(adj))
 
 
-def _extend_batch(task: tuple[Graph, list[int]]) -> list[str]:
+def _extend_batch(task: tuple[Graph, list[int]]) -> list[tuple[str, Graph]]:
+    """(canonical key, canonical graph) of each extension of g by a mask."""
     g, nbhds = task
-    return [canonical_key(_extend(g, s)) for s in nbhds]
+    graphs = [canonical_graph(_extend(g, s)) for s in nbhds]
+    return [(graph6_encode(cg), cg) for cg in graphs]
+
+
+def _by_key(batches: Iterable[list[tuple[str, Graph]]]) -> dict[str, Graph]:
+    """Canonical key -> canonical graph over all batches, in key order."""
+    found = {key: cg for batch in batches for key, cg in batch}
+    return dict(sorted(found.items()))
 
 
 class _Budget:
@@ -156,9 +229,10 @@ class _Budget:
 
 def _generate_classes(
     n: int, p: int, e_min: int, e_max: int, budget: _Budget, threads: int
-) -> tuple[list[Graph], bool]:
+) -> tuple[dict[str, Graph], bool]:
     """Isomorphism classes of K_p-free graphs on n vertices whose edge count
-    can land in [e_min, e_max]; exact flag is False on budget exhaustion.
+    can land in [e_min, e_max], as canonical key -> canonical graph in key
+    order; exact flag is False on budget exhaustion.
 
     Level k holds one canonical representative per class on k vertices.
     A child (a representative plus a vertex joined to a subset s) is kept
@@ -169,14 +243,15 @@ def _generate_classes(
     children that pass are the candidates (one unit of budget each),
     deduplicated by canonical key.
     """
-    reps = [Graph(1, (0,))]
+    single = Graph(1, (0,))
+    reps = {graph6_encode(single): single}
     exact = True
     for k in range(1, n):
         # ceil(e_min * C(k+1, 2) / C(n, 2)); at least e_min - C(n, 2) + C(k+1, 2)
         m_lo = -(-e_min * (k + 1) * k // (n * (n - 1)))
         tasks: list[tuple[Graph, list[int]]] = []
         total_candidates = 0
-        for g in reps:
+        for g in reps.values():
             degrees = [a.bit_count() for a in g.adj]
             delta = min(degrees)
             low = sum(1 << v for v, d in enumerate(degrees) if d == delta)
@@ -199,16 +274,16 @@ def _generate_classes(
                 tasks.append((g, nbhds))
             if not exact:
                 break
+        # batches are consumed as they come, so the candidates' canonical
+        # graphs are never all held at once
         if threads > 1 and total_candidates > 256:
             with multiprocessing.get_context().Pool(processes=threads) as pool:
-                batches = pool.map(_extend_batch, tasks)
+                reps = _by_key(pool.imap(_extend_batch, tasks))
         else:
-            batches = [_extend_batch(t) for t in tasks]
-        keys = sorted({key for batch in batches for key in batch})
-        reps = [graph6_decode(key) for key in keys]
+            reps = _by_key(map(_extend_batch, tasks))
         if not exact:
             # a cut level cannot vouch for completeness of later ones
-            return (reps if k == n - 1 else []), False
+            return (reps if k == n - 1 else {}), False
     return reps, exact
 
 
@@ -249,7 +324,7 @@ def _validate_instance(n: int, e: int, p: int):
 
 
 def _minimise(
-    reps: list[Graph],
+    classes: dict[str, Graph],
     n: int,
     e: int,
     p: int,
@@ -257,22 +332,23 @@ def _minimise(
     exact: bool,
     excluded: Optional[str] = None,
 ) -> SearchResult:
-    """The least saturating count over the classes in `reps` with e edges.
+    """The least saturating count over the classes (canonical key ->
+    canonical graph) with e edges.
 
-    Witnesses are the canonical graph6 strings of every minimising class;
-    the class whose graph6 string is `excluded` is skipped.
+    Witnesses are the canonical keys of every minimising class; the class
+    whose key is `excluded` is skipped.
     """
     best: Optional[int] = None
     witnesses: list[str] = []
-    for g in reps:
-        if g.m != e or (excluded is not None and graph6_encode(g) == excluded):
+    for key, g in classes.items():
+        if g.m != e or key == excluded:
             continue
         total = count_saturating(g, p).total
         if best is None or total < best:
             best = total
-            witnesses = [graph6_encode(g)]
+            witnesses = [key]
         elif total == best:
-            witnesses.append(graph6_encode(g))
+            witnesses.append(key)
     return SearchResult(
         n=n,
         e=e,
@@ -314,11 +390,11 @@ def min_saturating_table(
     _validate_instance(n, e_max, p)
     tracker = _Budget(budget)
     reps, exact = _generate_classes(n, p, 0, e_max, tracker, threads)
-    by_edges: dict[int, list[Graph]] = {}
-    for g in reps:
-        by_edges.setdefault(g.m, []).append(g)
+    by_edges: dict[int, dict[str, Graph]] = {}
+    for key, g in reps.items():
+        by_edges.setdefault(g.m, {})[key] = g
     return {
-        e: _minimise(by_edges.get(e, []), n, e, p, tracker.spent, exact)
+        e: _minimise(by_edges.get(e, {}), n, e, p, tracker.spent, exact)
         for e in range(e_max + 1)
     }
 

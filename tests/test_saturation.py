@@ -9,38 +9,7 @@ from satedge.graph import BlowupSpec, build_graph, contains_clique
 from satedge.saturation import CliquePresentError, count_saturating, is_saturating
 from satedge.verify import random_kpfree_graph
 
-
-def kpfree_graph_strategy(max_n=12, p_range=(3, 5)):
-    @st.composite
-    def graphs(draw):
-        p = draw(st.integers(min_value=p_range[0], max_value=p_range[1]))
-        n = draw(st.integers(min_value=1, max_value=max_n))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-        g = build_graph(n, [])
-        for u, v in chosen:
-            cand = g.with_edge(u, v)
-            if not contains_clique(cand, p):
-                g = cand
-        return g, p
-
-    return graphs()
-
-
-def planted_twin_strategy(max_base=6):
-    """A K_p-free base graph with each vertex copied 1..4 times into an
-    independent set of false twins, the copies' labels shuffled."""
-
-    @st.composite
-    def graphs(draw):
-        base, p = draw(kpfree_graph_strategy(max_n=max_base))
-        copies = [b for b in range(base.n) for _ in range(draw(st.integers(min_value=1, max_value=4)))]
-        owner = draw(st.permutations(copies))
-        n = len(owner)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if base.has_edge(owner[u], owner[v])]
-        return build_graph(n, edges), p
-
-    return graphs()
+from conftest import kpfree_graph_strategy, planted_twin_strategy
 
 
 def spec_strategy(max_base=7):

@@ -1,11 +1,14 @@
 import itertools
 import multiprocessing.pool
+import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satedge.constructions import turan_number
-from satedge.graph import Graph, bits, build_graph, contains_clique, graph6_decode
+from satedge.constructions import base_graph, blow_up, turan_number
+from satedge.formulas import CheckFailedError
+from satedge.graph import BlowupSpec, Graph, bits, build_graph, contains_clique, graph6_decode
 from satedge.saturation import count_saturating
 from satedge.search import (
     InfeasibleError,
@@ -16,11 +19,14 @@ from satedge.search import (
     _refined_colors,
     canonical_graph,
     canonical_key,
+    canonical_ordering,
     min_saturating,
     min_saturating_at_jump,
     min_saturating_constrained,
     min_saturating_table,
 )
+
+from conftest import planted_twin_strategy
 
 nx = pytest.importorskip("networkx")
 
@@ -36,21 +42,159 @@ def small_graph_strategy(max_n=9):
     return graphs()
 
 
+def complement(g):
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full & ~a & ~(1 << v) for v, a in enumerate(g.adj)))
+
+
+def relabeled(g, perm):
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def twin_rich_strategy():
+    """Planted false twins, and their complements for true twins."""
+    planted = planted_twin_strategy().map(lambda gp: gp[0])
+    return st.one_of(planted, planted.map(complement))
+
+
 @settings(max_examples=120, deadline=None)
-@given(small_graph_strategy(), st.randoms(use_true_random=False))
+@given(st.one_of(small_graph_strategy(), twin_rich_strategy()), st.randoms(use_true_random=False))
 def test_canonical_key_is_isomorphism_invariant(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
-    relabeled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    assert canonical_key(relabeled) == canonical_key(g)
+    assert canonical_key(relabeled(g, perm)) == canonical_key(g)
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_graph_strategy())
+@given(st.one_of(small_graph_strategy(), twin_rich_strategy()))
 def test_canonical_graph_is_idempotent(g):
     cg = canonical_graph(g)
     assert canonical_graph(cg).adj == cg.adj
     assert canonical_key(cg) == canonical_key(g)
+
+
+def test_canonical_key_of_symmetric_graphs():
+    n = 10
+    assert canonical_key(build_graph(n, [])) == "I????????"
+    assert canonical_key(build_graph(n, itertools.combinations(range(n), 2))) == "I~~~~~~~w"
+    # 16 vertices in five twin classes of the p = 3 base
+    host, _ = blow_up(BlowupSpec(base_graph(3), (4, 3, 3, 3, 3)))
+    key = canonical_key(host)
+    rng = random.Random(0)
+    for _ in range(5):
+        perm = list(range(host.n))
+        rng.shuffle(perm)
+        assert canonical_key(relabeled(host, perm)) == key
+
+
+def backtracking_refined_colors(g):
+    """Full-round refinement: every round reads each vertex's neighbour
+    counts to every colour class."""
+    n = g.n
+    adj = g.adj
+    colors = [g.degree(v) for v in range(n)]
+    while True:
+        masks = {}
+        for v, c in enumerate(colors):
+            masks[c] = masks.get(c, 0) | 1 << v
+        class_masks = [masks[c] for c in sorted(masks)]
+        sig = [
+            (colors[v], tuple(-(adj[v] & m).bit_count() for m in class_masks))
+            for v in range(n)
+        ]
+        ranking = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [ranking[sig[v]] for v in range(n)]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def backtracking_canonical_ordering(g):
+    """Prefix-pruned backtracking over every class-respecting ordering,
+    keeping the first ordering with the least column-order bit string."""
+    n = g.n
+    if n == 0:
+        return ()
+    adj = g.adj
+    colors = backtracking_refined_colors(g)
+    by_class = {}
+    for v, c in enumerate(colors):
+        by_class.setdefault(c, []).append(v)
+    class_seq = []
+    for c in sorted(by_class):
+        class_seq.extend([c] * len(by_class[c]))
+
+    best_key: Optional[list[int]] = None
+    best_perm: Optional[tuple[int, ...]] = None
+    placed: list[int] = []
+    key: list[int] = []
+    used = 0
+
+    def rec(pos, tight):
+        nonlocal best_key, best_perm, used
+        if pos == n:
+            if best_key is None or key < best_key:
+                best_key = key.copy()
+                best_perm = tuple(placed)
+            return
+        for v in by_class[class_seq[pos]]:
+            if used >> v & 1:
+                continue
+            new_bits = [adj[v] >> placed[i] & 1 for i in range(pos)]
+            t = tight
+            if t and best_key is not None:
+                seg = best_key[len(key):len(key) + pos]
+                if new_bits > seg:
+                    continue
+                if new_bits < seg:
+                    t = False
+            placed.append(v)
+            key.extend(new_bits)
+            used |= 1 << v
+            rec(pos + 1, t)
+            used ^= 1 << v
+            del key[len(key) - pos:]
+            placed.pop()
+
+    rec(0, True)
+    if best_perm is None:
+        raise CheckFailedError(f"no canonical ordering found for a {n}-vertex graph")
+    return best_perm
+
+
+def seeded_random_graph(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    return build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+
+
+def seeded_planted_twin_graph(seed):
+    """A random base on 2..5 vertices, each vertex copied 1..3 times into
+    false twins (at most 9 vertices), the copies' labels shuffled."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 5)
+    base = build_graph(k, [(u, v) for u, v in itertools.combinations(range(k), 2) if rng.random() < 0.5])
+    copies = [rng.randint(1, 3) for _ in range(k)]
+    while sum(copies) > 9:
+        copies[copies.index(max(copies))] -= 1
+    owner = [b for b in range(k) for _ in range(copies[b])]
+    rng.shuffle(owner)
+    n = len(owner)
+    return build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if base.has_edge(owner[u], owner[v])])
+
+
+def test_canonical_ordering_matches_backtracking_oracle():
+    twins = [seeded_planted_twin_graph(seed) for seed in range(150)]
+    inputs = (
+        [to_bitset_graph(nxg) for nxg in nx.graph_atlas_g()]
+        + [seeded_random_graph(seed) for seed in range(1500)]
+        + twins
+        + [complement(g) for g in twins]
+    )
+    for g in inputs:
+        perm = canonical_ordering(g)
+        assert perm == backtracking_canonical_ordering(g), g.adj
+        assert _refined_colors(g) == backtracking_refined_colors(g), g.adj
 
 
 def atlas_by_size(n):
@@ -78,7 +222,7 @@ def test_generation_matches_atlas_class_counts(n, p):
     reps, exact = _generate_classes(n, p, 0, e_max, _Budget(10**9), threads=1)
     assert exact
     mine = {}
-    for g in reps:
+    for g in reps.values():
         mine[g.m] = mine.get(g.m, 0) + 1
     theirs = {}
     for nxg in atlas_by_size(n):
@@ -153,14 +297,14 @@ def test_budget_exhaustion_is_reported():
 def test_thread_invariance(monkeypatch):
     # the n = 8 jump's last level has 504 candidates, above the pool's cut-off
     sent = []
-    pool_map = multiprocessing.pool.Pool.map
+    pool_imap = multiprocessing.pool.Pool.imap
 
-    def counting_map(self, func, tasks, *args, **kwargs):
+    def counting_imap(self, func, tasks, *args, **kwargs):
         if func is _extend_batch:
             sent.extend(tasks)
-        return pool_map(self, func, tasks, *args, **kwargs)
+        return pool_imap(self, func, tasks, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "map", counting_map)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", counting_imap)
     one = min_saturating_at_jump(8, 3, threads=1)
     assert not sent
     two = min_saturating_at_jump(8, 3, threads=2)
@@ -171,6 +315,20 @@ def test_thread_invariance(monkeypatch):
 @pytest.mark.parametrize("n,explored", [(5, 11), (6, 39), (7, 174), (8, 744)])
 def test_jump_search_work_counter(n, explored):
     assert min_saturating_at_jump(n, 3).explored == explored
+
+
+# the witnesses the full-round backtracking labelling gave
+@pytest.mark.parametrize(
+    "n,minimum,witnesses",
+    [
+        (9, 3, ("H@QF~z{", "HxHYs}]")),
+        (10, 5, ("IG?Wv~}~_", "IWA[r|}^_", "Io@zrq^fo", "Is_ZB|}^_", "IxGayy^fo")),
+    ],
+)
+def test_jump_minima_past_the_atlas(n, minimum, witnesses):
+    result = min_saturating_at_jump(n, 3)
+    assert result.exact
+    assert (result.minimum, result.witnesses) == (minimum, witnesses)
 
 
 def old_refined_colors(g):
@@ -216,7 +374,8 @@ def old_class_keys(n, p, e_min, e_max):
 def new_class_keys(n, p, e_min, e_max):
     reps, exact = _generate_classes(n, p, e_min, e_max, _Budget(10**9), threads=1)
     assert exact
-    return {canonical_key(g) for g in reps}
+    assert all(canonical_key(g) == key for key, g in reps.items())
+    return set(reps)
 
 
 @pytest.mark.parametrize(
@@ -231,7 +390,7 @@ def test_min_degree_path_matches_old_generator(n, p, e_min, e_max):
 
 def test_triangle_free_class_counts_match_oeis():
     # OEIS A006785: triangle-free graphs on n unlabeled nodes
-    counts = [1, 2, 3, 7, 14, 38, 107, 410, 1897]
+    counts = [1, 2, 3, 7, 14, 38, 107, 410, 1897, 12172]
     for n, expected in enumerate(counts, start=1):
         reps, exact = _generate_classes(n, 3, 0, turan_number(n, 3), _Budget(10**9), threads=1)
         assert exact and len(reps) == expected
