@@ -121,7 +121,7 @@ class Graph:
                 cand ^= low
             return False
 
-        if rec(_reduce_by_twins(self, mask), k):
+        if rec(self.twin_representatives(mask), k):
             return tuple(out)
         return None
 
@@ -137,6 +137,19 @@ class Graph:
                 groups[a] = groups.get(a, 0) | (1 << v)
             self._twins = tuple(groups.values())
         return self._twins
+
+    def twin_representatives(self, mask: VertexSet) -> VertexSet:
+        """One representative per twin class that meets `mask`: the class's
+        lowest member in `mask`."""
+        classes = self.twin_classes()
+        if len(classes) == self.n:
+            return mask  # twin-free: every class is a singleton
+        out = 0
+        for cls in classes:
+            hit = cls & mask
+            if hit:
+                out |= hit & -hit
+        return out
 
     def quotient(self) -> "BlowupSpec":
         """The twin-class quotient: base vertex i is the i-th class of
@@ -253,19 +266,6 @@ def edges_between(g: Graph, u_set: VertexSet, w_set: VertexSet) -> int:
 def induced_edges(g: Graph, mask: VertexSet) -> int:
     """Number of edges with both endpoints inside `mask`."""
     return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
-
-
-def _reduce_by_twins(g: Graph, mask: VertexSet) -> VertexSet:
-    """One representative (lowest member in mask) per twin class."""
-    classes = g.twin_classes()
-    if len(classes) == g.n:
-        return mask  # twin-free: every class is a singleton
-    out = 0
-    for cls in classes:
-        hit = cls & mask
-        if hit:
-            out |= hit & -hit
-    return out
 
 
 def find_clique(g: Graph, p: int) -> Optional[tuple[int, ...]]:

@@ -2,8 +2,9 @@
 
 A packing is a family of pairwise disjoint p-cliques; the remainder is the
 rest of the host.  One depth-first enumerator yields the packings of a given
-size in lexicographic order, pruned by a greedy hitting-set bound; the
-maximum packing, the best-remainder packing and its certificate all walk it.
+size up to twin swaps, including the least family of each orbit, in
+lexicographic order, pruned by a greedy hitting-set bound; the maximum
+packing, the best-remainder packing and its certificate all walk it.
 It keeps an explicit stack, so host size does not bound its depth.  The
 bound ranks false-twin classes, not vertices, over the p-cliques of the
 host's twin-class quotient, which each search lists once.
@@ -135,6 +136,10 @@ class _PackSearch:
         # the host's p-cliques up to twins, as (mask, tuple) over the class
         # indices of the twin-class quotient, class i being g.twin_classes()[i]
         self.classes = g.twin_classes()
+        self.twin_class = [0] * g.n  # vertex -> mask of its twin class
+        for cls in self.classes:
+            for v in bits(cls):
+                self.twin_class[v] = cls
         self.class_cliques: list[tuple[int, tuple[int, ...]]] = []
         for c in enumerate_cliques(g.quotient().base, p):
             self._tick()
@@ -148,10 +153,11 @@ class _PackSearch:
             )
 
     def _cliques_through_lowest(self, pool: VertexSet) -> Iterator[tuple[int, ...]]:
-        # pool's lowest vertex is the branch vertex; all other members are above it
+        # pool's lowest vertex is the branch vertex; all other members are
+        # above it, each the lowest pool member of its twin class
         low = pool & -pool
         v = low.bit_length() - 1
-        for rest in enumerate_cliques(self.g, self.p - 1, pool & self.g.adj[v]):
+        for rest in enumerate_cliques(self.g, self.p - 1, self.g.twin_representatives(pool) & self.g.adj[v]):
             yield (v,) + rest
 
     def upper_bound(self, pool: VertexSet, cutoff: int) -> int:
@@ -210,13 +216,20 @@ class _PackSearch:
         return out
 
     def packings(self, target: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """Every family of `target` disjoint p-cliques, as a sorted tuple.
+        """The families of `target` disjoint p-cliques up to twin swaps,
+        including the least family of each orbit, as sorted tuples.
 
         Depth first: at each node, every clique through the pool's lowest
-        vertex in lexicographic order, then the branch that drops that
-        vertex.  So families come in lexicographic order.  The stack holds
-        one clique iterator per packed clique and the drop branch replaces
-        the top frame, so it never holds more than `target` frames.
+        vertex v in lexicographic order, then the branch that drops v's
+        whole twin class.  So families come in lexicographic order.  Besides
+        v, a clique takes only the lowest pool member of each twin class.
+        Swapping two false twins is an automorphism, and putting a lower
+        twin in place of a higher one never makes a family larger, so the
+        least family of every orbit meets both rules: the first family, and
+        the first family of best remainder, are the same as over all
+        families.  The stack holds one clique iterator per packed clique
+        and the drop branch replaces the top frame, so it never holds more
+        than `target` frames.
         """
         acc: list[tuple[int, ...]] = []
         frames: list[tuple[VertexSet, Iterator[tuple[int, ...]]]] = []
@@ -235,7 +248,7 @@ class _PackSearch:
             c = next(cliques, None)
             if c is None:
                 frames.pop()
-                pool = top ^ (top & -top)
+                pool = top & ~self.twin_class[(top & -top).bit_length() - 1]
             else:
                 acc.append(c)
                 pool = top & ~mask_of(c)
@@ -333,17 +346,22 @@ def _first_improving_switch(
     packing: CliquePacking,
 ) -> Optional[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """The first (index, c_out, c_in) in refine_packing's scan order that
-    strictly increases remainder edges, or None."""
+    strictly increases remainder edges, or None.
+
+    The switch turns the remainder h into rest + c_out, rest = h - c_in, so
+    its edge count goes from e(rest) + e(c_in) + e(c_in, rest) to e(rest) +
+    e(c_out) + e(c_out, rest).  Both sets are cliques of one size, so it
+    gains exactly when e(c_out, rest) > e(c_in, rest).
+    """
     g = packing.host
-    h_mask = packing.remainder
-    h_edges = induced_edges(g, h_mask)
     for index, r_old in enumerate(packing.cliques):
         for c_size in range(1, packing.p + 1):
             for c_out in combinations(r_old, c_size):
                 out_mask = mask_of(c_out)
                 for c_in in switch_candidates(packing, index, c_out):
-                    new_h = (h_mask & ~mask_of(c_in)) | out_mask
-                    if induced_edges(g, new_h) > h_edges:
+                    in_mask = mask_of(c_in)
+                    rest = packing.remainder & ~in_mask
+                    if edges_between(g, out_mask, rest) > edges_between(g, in_mask, rest):
                         return index, c_out, c_in
     return None
 
@@ -472,11 +490,14 @@ def best_r_star(packing: CliquePacking) -> tuple[int, int]:
 
 
 def _best_remainder_walk(g: Graph, p: int, budget: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """Visit every maximum packing; return (size, best remainder edges, witness).
+    """Visit the maximum packings up to twin swaps; return (size, best
+    remainder edges, witness).
 
     The witness is the first packing attaining the best remainder-edge count
-    in the lexicographic order of _PackSearch.packings.  Exponential in
-    general; intended for hosts of a dozen-odd vertices.
+    in lexicographic order.  Twin swaps keep remainder edges, so one family
+    per orbit suffices.  Exponential in general; a blow-up of base_graph(p),
+    whose maximum packings are all twin swaps of one another, takes a few
+    hundred nodes.
     """
     search = _PackSearch(g, p, budget)
     target = len(search.optimum())
@@ -507,7 +528,7 @@ def certify_remainder_maximal(packing: CliquePacking, budget: int = DEFAULT_PACK
     """Exhaustively compare remainder edges across ALL maximum packings.
 
     Returns (is_globally_maximal, best_remainder_edges).  Exponential in
-    general; intended for hosts of a dozen-odd vertices.
+    general; blow-ups of base_graph(p) certify in a few hundred nodes.
     """
     g = packing.host
     target, best_edges, _ = _best_remainder_walk(g, packing.p, budget)

@@ -19,8 +19,9 @@ def h1_310_packing(h1_310):
 
 @pytest.fixture(scope="session")
 def deep_host():
-    """1100 vertices, one triangle on the top labels: the search must drop
-    1097 vertices one by one before it reaches the only clique."""
+    """1100 vertices, one triangle on the top labels: the greedy packing
+    drops 1097 vertices one by one before it reaches the only clique, the
+    packing walk drops them as one twin class."""
     return build_graph(1100, [(1097, 1098), (1097, 1099), (1098, 1099)])
 
 

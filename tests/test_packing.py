@@ -68,7 +68,7 @@ def test_max_packing_budget_error(h1_310):
 
 def test_certify_shares_the_packing_budget():
     # 16 listed quotient triangles and 20 search nodes find the optimum;
-    # walking every maximum packing takes about 380 more
+    # walking the maximum packings up to twin swaps takes 126 more
     g = random_kpfree_graph(12, 4, seed=0)
     pk = max_packing(g, 3, budget=100)
     with pytest.raises(BudgetExceededError, match="packing search exceeded 100 nodes"):
@@ -86,9 +86,10 @@ def test_packing_search_work_is_pinned(h1_310, deep_host):
     assert len(search.optimum()) == 24
     assert (len(search.class_cliques), search.nodes) == (1, 1 + 26)
 
+    # the 1097 isolated vertices are one twin class, dropped in one step
     search = packing._PackSearch(deep_host, 3, DEFAULT_PACKING_BUDGET)
     assert list(search.packings(len(search.optimum()))) == [((1097, 1098, 1099),)]
-    assert (len(search.class_cliques), search.nodes) == (1, 1 + 2201)
+    assert (len(search.class_cliques), search.nodes) == (1, 1 + 9)
 
 
 def test_deep_host_needs_no_recursion(deep_host):
@@ -164,6 +165,107 @@ def test_packings_match_brute_force_oracle():
         assert certify_remainder_maximal(pk) == (remainder_edges(pk.cliques) == best, best), g.adj
         checked += 1
     assert checked == 1253 + 30 + 20
+
+
+def _cliques_through_lowest(g, p, pool):
+    v = (pool & -pool).bit_length() - 1
+    return ((v,) + rest for rest in enumerate_cliques(g, p - 1, pool & g.adj[v]))
+
+
+def _all_packings(search, target):
+    """Every family of `target` disjoint p-cliques in lexicographic order, as
+    the enumerator walked them before it skipped twin swaps: each clique
+    through the pool's lowest vertex over the whole pool, then the branch
+    that drops that vertex alone.  Charged to the search's node counter."""
+    g, p = search.g, search.p
+    acc = []
+    frames = []
+    pool = g.vertices_mask()
+    while True:
+        search._tick()
+        need = target - len(acc)
+        if need == 0:
+            yield tuple(acc)
+        elif pool.bit_count() // p >= need and search.upper_bound(pool, need - 1) >= need:
+            frames.append((pool, _cliques_through_lowest(g, p, pool)))
+        if not frames:
+            return
+        top, cliques = frames[-1]
+        del acc[len(frames) - 1:]
+        c = next(cliques, None)
+        if c is None:
+            frames.pop()
+            pool = top ^ (top & -top)
+        else:
+            acc.append(c)
+            pool = top & ~mask_of(c)
+
+
+def _walk_over_all_packings(g, p):
+    """(optimum, (size, best remainder edges, witness), nodes) from the
+    greedy packing and _all_packings, as optimum() and _best_remainder_walk
+    computed them before."""
+    search = packing._PackSearch(g, p, DEFAULT_PACKING_BUDGET)
+    best = []
+    pool = g.vertices_mask()
+    while pool.bit_count() >= p:
+        c = next(_cliques_through_lowest(g, p, pool), None)
+        if c is None:
+            pool ^= pool & -pool
+        else:
+            best.append(c)
+            pool &= ~mask_of(c)
+    best = tuple(best)
+    while (larger := next(_all_packings(search, len(best) + 1), None)) is not None:
+        best = larger
+    best_edges, witness = -1, ()
+    for family in _all_packings(search, len(best)):
+        e = induced_edges(g, g.vertices_mask() & ~mask_of(chain(*family)))
+        if e > best_edges:
+            best_edges, witness = e, family
+    return best, (len(best), best_edges, witness), search.nodes
+
+
+def _walk_hosts(p):
+    yield from _atlas()
+    for seed in range(20):
+        yield random_kpfree_graph(9 + seed % 4, p + 1, seed=seed)
+        yield _planted_twin_host(seed, 5 + seed % 3, p, max_n=14)
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_twin_walk_matches_walk_over_all_packings(p):
+    # same optimum, same (size, best, witness), and never more nodes
+    for g in _walk_hosts(p):
+        optimum, walk, slow_nodes = _walk_over_all_packings(g, p)
+        search = packing._PackSearch(g, p, DEFAULT_PACKING_BUDGET)
+        assert search.optimum() == optimum, g.adj
+        for _ in search.packings(len(optimum)):
+            pass
+        assert search.nodes <= slow_nodes, g.adj
+        assert packing._best_remainder_walk(g, p, DEFAULT_PACKING_BUDGET) == walk, g.adj
+
+
+# (h1 cell, nodes of the certify walk): V0..V_{p-1} are twin classes and
+# every maximum packing takes one vertex of each per clique, so all maximum
+# packings are twin swaps of one another
+BLOWUP_CERTIFY_NODES = [((3, 1, y), nodes) for y, nodes in enumerate((30, 49, 72, 99))] + [
+    ((3, 2, 0), 72),
+    ((4, 1, 0), 400),
+]
+
+
+@pytest.mark.parametrize(
+    "cell,nodes", BLOWUP_CERTIFY_NODES, ids=[".".join(map(str, cell)) for cell, _ in BLOWUP_CERTIFY_NODES]
+)
+def test_blowups_certify_within_budget(cell, nodes):
+    g = h1(*cell).graph
+    p = cell[0]
+    pk = max_packing(g, p)
+    assert certify_remainder_maximal(pk, budget=nodes) == (True, induced_edges(g, pk.remainder))
+    with pytest.raises(BudgetExceededError):
+        certify_remainder_maximal(pk, budget=nodes - 1)
+    assert max_remainder_packing(g, p).cliques == pk.cliques
 
 
 def _vertex_upper_bound(search, pool, cutoff, cap=512):
@@ -273,6 +375,41 @@ def test_refine_packing_never_decreases_remainder_edges():
         after = induced_edges(g, refined.remainder)
         assert refined.size == pk.size
         assert after >= before
+
+
+def _recount_first_improving_switch(pk):
+    """refine_packing's scan as it was: every candidate switch recounts the
+    edges of the whole new remainder."""
+    g = pk.host
+    h_edges = induced_edges(g, pk.remainder)
+    for index, r_old in enumerate(pk.cliques):
+        for c_size in range(1, pk.p + 1):
+            for c_out in combinations(r_old, c_size):
+                for c_in in switch_candidates(pk, index, c_out):
+                    if induced_edges(g, (pk.remainder & ~mask_of(c_in)) | mask_of(c_out)) > h_edges:
+                        return index, c_out, c_in
+    return None
+
+
+def _refine_hosts():
+    for g in _oracle_hosts():
+        yield g, 3
+    for seed in range(10):
+        yield random_kpfree_graph(14, 4, seed=seed, target_edges=turan_number(14, 4)), 3
+        yield random_kpfree_graph(14, 5, seed=seed, target_edges=turan_number(14, 5)), 4
+
+
+def test_improving_switch_matches_remainder_recount():
+    # the same move at every step of every refinement
+    moves = 0
+    for g, p in _refine_hosts():
+        pk = max_packing(g, p)
+        while (move := packing._first_improving_switch(pk)) is not None:
+            assert move == _recount_first_improving_switch(pk), g.adj
+            pk = switch(pk, *move)
+            moves += 1
+        assert _recount_first_improving_switch(pk) is None, g.adj
+    assert moves > 0
 
 
 def test_refine_packing_fixed_point():
