@@ -306,9 +306,13 @@ def switch_candidates(packing: CliquePacking, index: int, c_out: Iterable[int]) 
     """Every c_in that switch(packing, index, c_out, c_in) accepts, in
     lexicographic order; c_out must be a subset of the indexed clique."""
     out = mask_of(c_out)
+    yield from enumerate_cliques(packing.host, out.bit_count(), _switch_pool(packing, index, out))
+
+
+def _switch_pool(packing: CliquePacking, index: int, out: VertexSet) -> VertexSet:
+    """The remainder vertices adjacent to all of the indexed clique but `out`."""
     kept = mask_of(packing.cliques[index]) & ~out
-    cand = packing.remainder & common_neighborhood(packing.host, kept) if kept else packing.remainder
-    yield from enumerate_cliques(packing.host, out.bit_count(), cand)
+    return packing.remainder & common_neighborhood(packing.host, kept) if kept else packing.remainder
 
 
 def check_switch_inequality(
@@ -352,13 +356,20 @@ def _first_improving_switch(
     its edge count goes from e(rest) + e(c_in) + e(c_in, rest) to e(rest) +
     e(c_out) + e(c_out, rest).  Both sets are cliques of one size, so it
     gains exactly when e(c_out, rest) > e(c_in, rest).
+
+    Only c_in drawn from the pool's twin representatives is scanned.
+    Swapping a member of c_in with a lower false twin in the remainder is
+    an automorphism fixing c_out and the remainder, so it keeps both edge
+    counts and gives a lexicographically smaller c_in: the first improving
+    c_in has no such member.
     """
     g = packing.host
     for index, r_old in enumerate(packing.cliques):
         for c_size in range(1, packing.p + 1):
             for c_out in combinations(r_old, c_size):
                 out_mask = mask_of(c_out)
-                for c_in in switch_candidates(packing, index, c_out):
+                pool = g.twin_representatives(_switch_pool(packing, index, out_mask))
+                for c_in in enumerate_cliques(g, c_size, pool):
                     in_mask = mask_of(c_in)
                     rest = packing.remainder & ~in_mask
                     if edges_between(g, out_mask, rest) > edges_between(g, in_mask, rest):

@@ -4,8 +4,18 @@ The engine enumerates K_p-free graphs on n vertices up to isomorphism by
 level-wise vertex extension with canonical-form deduplication, then takes
 the minimum saturating count over the classes with the requested edge count.
 Classes grow along a minimum-degree construction path, and `explored`
-counts the candidates that are canonically labelled.  Desk scale only:
-dense edge counts are practical through roughly n = 10.
+counts the candidates that are canonically labelled.
+
+The single-edge-count searches prune by the saturating count itself.
+Deleting a vertex w never raises it, f_p(H - w) <= f_p(H): every non-edge
+of H - w is one of H, and (H - w) + uv lies inside H + uv.  So "at most U
+saturating edges" is hereditary, and generation by canonical deletion may
+drop every class above U at every level without losing a class within it
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+The bound deepens U = 0, 1, 2, ...; the first pass that reaches an e-edge
+class has the exact minimum and all its witnesses.  The jump search then
+runs to n = 12 at p = 3 in seconds.  `min_saturating_table` needs every
+edge count, so it enumerates all classes in one unpruned pass.
 
 Canonical form: vertices are first partitioned by iterated degree
 refinement; the canonical labeling is the class-respecting relabeling that
@@ -228,7 +238,13 @@ class _Budget:
 
 
 def _generate_classes(
-    n: int, p: int, e_min: int, e_max: int, budget: _Budget, threads: int
+    n: int,
+    p: int,
+    e_min: int,
+    e_max: int,
+    budget: _Budget,
+    threads: int,
+    bound: Optional[int] = None,
 ) -> tuple[dict[str, Graph], bool]:
     """Isomorphism classes of K_p-free graphs on n vertices whose edge count
     can land in [e_min, e_max], as canonical key -> canonical graph in key
@@ -242,6 +258,11 @@ def _generate_classes(
     vertices needs e_min * C(k + 1, 2) / C(n, 2) to e_max edges.  K_p-free
     children that pass are the candidates (one unit of budget each),
     deduplicated by canonical key.
+
+    With a `bound`, each deduplicated level keeps only the classes with at
+    most `bound` p-saturating edges.  The count never rises under vertex
+    deletion, so every class within the bound keeps all of its min-degree
+    deletion ancestors and is still generated; classes above it are not.
     """
     single = Graph(1, (0,))
     reps = {graph6_encode(single): single}
@@ -281,6 +302,8 @@ def _generate_classes(
                 reps = _by_key(pool.imap(_extend_batch, tasks))
         else:
             reps = _by_key(map(_extend_batch, tasks))
+        if bound is not None:
+            reps = {key: g for key, g in reps.items() if count_saturating(g, p).total <= bound}
         if not exact:
             # a cut level cannot vouch for completeness of later ones
             return (reps if k == n - 1 else {}), False
@@ -289,6 +312,13 @@ def _generate_classes(
 
 @dataclass(frozen=True)
 class SearchResult:
+    """One search's minimum and every minimising class (canonical graph6).
+
+    `explored` counts the candidates canonically labelled, summed over the
+    passes of a deepening count bound; `exact` is False when the budget ran
+    out first.
+    """
+
     n: int
     e: int
     p: int
@@ -360,6 +390,28 @@ def _minimise(
     )
 
 
+def _deepening_search(
+    n: int, e: int, p: int, budget: int, threads: int, excluded: Optional[str] = None
+) -> SearchResult:
+    """_minimise over the e-edge classes, generated in passes U = 0, 1, 2, ...
+    that keep only classes with at most U saturating edges.
+
+    The first pass that finds an e-edge class (other than `excluded`) with
+    at most U saturating edges has the exact minimum and every minimising
+    class; a pass at U = C(n, 2) - e prunes nothing with e edges, so the
+    passes end.  All passes share one budget, `explored` counts the
+    candidates labelled over all of them, and running out returns that
+    pass's partial result with exact=False.
+    """
+    tracker = _Budget(budget)
+    for bound in range(n * (n - 1) // 2 - e + 1):
+        reps, exact = _generate_classes(n, p, e, e, tracker, threads, bound)
+        result = _minimise(reps, n, e, p, tracker.spent, exact, excluded)
+        if result.minimum is not None or not exact:
+            break
+    return result
+
+
 def min_saturating(
     n: int,
     e: int,
@@ -372,11 +424,12 @@ def min_saturating(
     Exhaustive and exact up to the node budget; on exhaustion the partial
     minimum (or None) is returned with exact=False instead of guessing.
     Witnesses are canonical graph6 strings of every minimizing class.
+    Classes are generated in passes that keep only those with at most
+    U = 0, 1, 2, ... saturating edges, up to the first U that admits an
+    e-edge class; `explored` and the budget cover all passes.
     """
     _validate_instance(n, e, p)
-    tracker = _Budget(budget)
-    reps, exact = _generate_classes(n, p, e, e, tracker, threads)
-    return _minimise(reps, n, e, p, tracker.spent, exact)
+    return _deepening_search(n, e, p, budget, threads)
 
 
 def min_saturating_table(
@@ -386,7 +439,8 @@ def min_saturating_table(
     budget: int = DEFAULT_SEARCH_BUDGET,
     threads: int = 1,
 ) -> dict[int, SearchResult]:
-    """min_saturating for every edge count 0..e_max from one shared pass."""
+    """min_saturating for every edge count 0..e_max from one shared pass,
+    over every class: no count bound serves all edge counts at once."""
     _validate_instance(n, e_max, p)
     tracker = _Budget(budget)
     reps, exact = _generate_classes(n, p, 0, e_max, tracker, threads)
@@ -418,7 +472,5 @@ def min_saturating_constrained(
     (by canonical form, so relabelings are excluded too)."""
     e = turan_number(n, p)
     _validate_instance(n, e, p + 1)
-    tracker = _Budget(budget)
-    reps, exact = _generate_classes(n, p + 1, e, e, tracker, threads)
     excluded = canonical_key(turan_graph(n, p - 1))
-    return _minimise(reps, n, e, p + 1, tracker.spent, exact, excluded)
+    return _deepening_search(n, e, p + 1, budget, threads, excluded)

@@ -6,8 +6,8 @@ from itertools import chain, combinations
 import pytest
 
 from satedge import packing
-from satedge.constructions import h0, h1, h2, turan_graph, turan_number
-from satedge.graph import bits, build_graph, enumerate_cliques, induced_edges, mask_of
+from satedge.constructions import blow_up, h0, h1, h2, turan_graph, turan_number
+from satedge.graph import BlowupSpec, bits, build_graph, edges_between, enumerate_cliques, induced_edges, mask_of
 from satedge.packing import (
     DEFAULT_PACKING_BUDGET,
     BudgetExceededError,
@@ -410,6 +410,58 @@ def test_improving_switch_matches_remainder_recount():
             moves += 1
         assert _recount_first_improving_switch(pk) is None, g.adj
     assert moves > 0
+
+
+def _full_pool_first_improving_switch(pk):
+    """refine_packing's scan before it skipped twins: every c_in that
+    switch_candidates lists, compared by the local edge delta."""
+    g = pk.host
+    for index, r_old in enumerate(pk.cliques):
+        for c_size in range(1, pk.p + 1):
+            for c_out in combinations(r_old, c_size):
+                out_mask = mask_of(c_out)
+                for c_in in switch_candidates(pk, index, c_out):
+                    in_mask = mask_of(c_in)
+                    rest = pk.remainder & ~in_mask
+                    if edges_between(g, out_mask, rest) > edges_between(g, in_mask, rest):
+                        return index, c_out, c_in
+    return None
+
+
+def _twin_rich_refine_hosts():
+    """Blow-ups of seeded random K_{p+1}-free bases, parts of 1..3 twins."""
+    for seed in range(24):
+        p = 3 + seed % 2
+        rng = random.Random(seed)
+        base = random_kpfree_graph(6 + seed % 3, p + 1, seed=seed)
+        yield blow_up(BlowupSpec(base, tuple(rng.randint(1, 3) for _ in range(base.n))))[0], p
+    for cell in ((3, 1, 0), (3, 1, 1)):
+        yield h1(*cell).graph, 3
+
+
+def test_twin_representative_switch_scan_matches_full_pool_scan():
+    # the same move at every step of every refinement, from greedy packings
+    # and from every single switch away from them
+    moves = 0
+    for g, p in chain(_refine_hosts(), _twin_rich_refine_hosts()):
+        pk = max_packing(g, p)
+        away = [switch(pk, i, r[:1], c) for i, r in enumerate(pk.cliques) for c in switch_candidates(pk, i, r[:1])]
+        for pk in [pk] + away[:3]:
+            while (move := packing._first_improving_switch(pk)) is not None:
+                assert move == _full_pool_first_improving_switch(pk), g.adj
+                pk = switch(pk, *move)
+                moves += 1
+            assert _full_pool_first_improving_switch(pk) is None, g.adj
+    assert moves > 0
+
+
+def test_refine_packing_h1_p4_finishes():
+    # one scan over 24 packed 4-cliques; the remainder's 4-cliques are
+    # scanned over its twin representatives only
+    pk = max_packing(h1(4, 1, 0).graph, 4)
+    refined = refine_packing(pk)
+    assert refined.size == pk.size
+    assert induced_edges(pk.host, refined.remainder) >= induced_edges(pk.host, pk.remainder)
 
 
 def test_refine_packing_fixed_point():

@@ -6,16 +6,18 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satedge.constructions import base_graph, blow_up, turan_number
+from satedge.constructions import base_graph, blow_up, turan_graph, turan_number
 from satedge.formulas import CheckFailedError
 from satedge.graph import BlowupSpec, Graph, bits, build_graph, contains_clique, graph6_decode
 from satedge.saturation import count_saturating
 from satedge.search import (
     InfeasibleError,
     _Budget,
+    _deepening_search,
     _extend,
     _extend_batch,
     _generate_classes,
+    _minimise,
     _refined_colors,
     canonical_graph,
     canonical_key,
@@ -295,7 +297,7 @@ def test_budget_exhaustion_is_reported():
 
 
 def test_thread_invariance(monkeypatch):
-    # the n = 8 jump's last level has 504 candidates, above the pool's cut-off
+    # a level of the n = 10 jump's last pass has more candidates than the pool's cut-off
     sent = []
     pool_imap = multiprocessing.pool.Pool.imap
 
@@ -305,14 +307,15 @@ def test_thread_invariance(monkeypatch):
         return pool_imap(self, func, tasks, *args, **kwargs)
 
     monkeypatch.setattr(multiprocessing.pool.Pool, "imap", counting_imap)
-    one = min_saturating_at_jump(8, 3, threads=1)
+    one = min_saturating_at_jump(10, 3, threads=1)
     assert not sent
-    two = min_saturating_at_jump(8, 3, threads=2)
+    two = min_saturating_at_jump(10, 3, threads=2)
     assert sum(len(nbhds) for _, nbhds in sent) > 256
     assert one.to_dict() == two.to_dict()
 
 
-@pytest.mark.parametrize("n,explored", [(5, 11), (6, 39), (7, 174), (8, 744)])
+# counted over all deepening passes, so n = 5 labels more than one unpruned pass
+@pytest.mark.parametrize("n,explored", [(5, 16), (6, 36), (7, 123), (8, 392)])
 def test_jump_search_work_counter(n, explored):
     assert min_saturating_at_jump(n, 3).explored == explored
 
@@ -323,6 +326,7 @@ def test_jump_search_work_counter(n, explored):
     [
         (9, 3, ("H@QF~z{", "HxHYs}]")),
         (10, 5, ("IG?Wv~}~_", "IWA[r|}^_", "Io@zrq^fo", "Is_ZB|}^_", "IxGayy^fo")),
+        (11, 6, ("J?CaF~}~f{?", "J]Kpe^Mr_^_", "J]TQd]mj_^_", "Jr?C[X~^r}?", "J}Kpa\\Mb{^?")),
     ],
 )
 def test_jump_minima_past_the_atlas(n, minimum, witnesses):
@@ -415,6 +419,57 @@ def test_constrained_excludes_the_balanced_graph(prism):
     result = min_saturating_constrained(6, 3)
     assert result.minimum == 0
     assert canonical_key(prism) in result.witnesses
-    from satedge.constructions import turan_graph
-
     assert canonical_key(turan_graph(6, 2)) not in result.witnesses
+
+
+def unpruned_search(n, e, p, excluded=None):
+    """The one-pass search the deepening replaced: every class with e edges,
+    no bound on the saturating count."""
+    tracker = _Budget(10**9)
+    reps, exact = _generate_classes(n, p, e, e, tracker, threads=1)
+    return _minimise(reps, n, e, p, tracker.spent, exact, excluded)
+
+
+def seeded_search_cells(count, seed=11):
+    rng = random.Random(seed)
+    cells = []
+    for _ in range(count):
+        p = rng.randint(3, 5)
+        n = rng.randint(5, 8)
+        cells.append((n, rng.randint(0, turan_number(n, p)), p, None))
+    return cells
+
+
+@pytest.mark.parametrize(
+    "n,e,p,excluded",
+    [(n, turan_number(n, 3) + 1, 4, None) for n in range(5, 10)]
+    + [(n, turan_number(n, 4) + 1, 5, None) for n in range(6, 11)]
+    + [(n, turan_number(n, 3), 4, canonical_key(turan_graph(n, 2))) for n in range(6, 9)]
+    + seeded_search_cells(10),
+)
+def test_deepening_matches_unpruned_search(n, e, p, excluded):
+    pruned = _deepening_search(n, e, p, 10**9, 1, excluded)
+    full = unpruned_search(n, e, p, excluded)
+    assert pruned.exact and full.exact
+    assert pruned.minimum is not None
+    assert (pruned.minimum, pruned.witnesses) == (full.minimum, full.witnesses)
+
+
+@pytest.mark.parametrize("n,p,e_min,e_max", [(7, 4, 0, 12), (8, 4, 17, 17), (8, 3, 10, 12)])
+def test_count_bound_keeps_exactly_the_classes_within_it(n, p, e_min, e_max):
+    # heredity: a class within the bound keeps every min-degree deletion
+    # ancestor, so the pruned generator loses none of them
+    full, exact = _generate_classes(n, p, e_min, e_max, _Budget(10**9), threads=1)
+    assert exact
+    counts = {key: count_saturating(g, p).total for key, g in full.items()}
+    for bound in range(max(counts.values()) + 1):
+        pruned, exact = _generate_classes(n, p, e_min, e_max, _Budget(10**9), threads=1, bound=bound)
+        assert exact
+        assert set(pruned) == {key for key, c in counts.items() if c <= bound}
+
+
+def test_deepening_budget_is_shared_across_passes():
+    spent = min_saturating_at_jump(8, 3).explored
+    assert min_saturating_at_jump(8, 3, budget=spent).exact
+    cut = min_saturating_at_jump(8, 3, budget=spent - 1)
+    assert not cut.exact and cut.explored == spent - 1
