@@ -2,9 +2,10 @@
 
 A packing is a family of pairwise disjoint p-cliques; the remainder is the
 rest of the host.  One depth-first enumerator yields the packings of a given
-size up to twin swaps, including the least family of each orbit, in
-lexicographic order, pruned by a greedy hitting-set bound; the maximum
-packing, the best-remainder packing and its certificate all walk it.
+size in lexicographic order, up to twin swaps the least family of every
+packed vertex set, pruned by a greedy hitting-set bound and visiting each
+(pool, packed set) state once; the maximum packing, the best-remainder
+packing and its certificate all walk it.
 It keeps an explicit stack, so host size does not bound its depth.  The
 bound ranks false-twin classes, not vertices, over the p-cliques of the
 host's twin-class quotient, which each search lists once.
@@ -133,6 +134,7 @@ class _PackSearch:
         self.p = p
         self.budget = budget
         self.nodes = 0
+        self.repeats = 0  # nodes of packings() whose state was visited before
         # the host's p-cliques up to twins, as (mask, tuple) over the class
         # indices of the twin-class quotient, class i being g.twin_classes()[i]
         self.classes = g.twin_classes()
@@ -216,8 +218,9 @@ class _PackSearch:
         return out
 
     def packings(self, target: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """The families of `target` disjoint p-cliques up to twin swaps,
-        including the least family of each orbit, as sorted tuples.
+        """Families of `target` disjoint p-cliques, as sorted tuples in
+        lexicographic order: up to twin swaps, the least family of every
+        packed vertex set, one family per set.
 
         Depth first: at each node, every clique through the pool's lowest
         vertex v in lexicographic order, then the branch that drops v's
@@ -225,25 +228,41 @@ class _PackSearch:
         v, a clique takes only the lowest pool member of each twin class.
         Swapping two false twins is an automorphism, and putting a lower
         twin in place of a higher one never makes a family larger, so the
-        least family of every orbit meets both rules: the first family, and
-        the first family of best remainder, are the same as over all
-        families.  The stack holds one clique iterator per packed clique
+        least family of every orbit meets both rules.
+
+        A node's state is its pool and its packed union; a leaf's is its
+        packed union alone, since nothing is left to pack.  Two nodes in
+        one state have the same completions, each leaving the same
+        remainder, and the first one visited is lexicographically earlier.
+        So a repeated state is charged its node but neither bounded nor
+        expanded, and only the least family of each packed vertex set is
+        yielded: the first family, and the first family of best remainder,
+        are the same as over all families.  The table of visited states
+        holds at most one entry per charged node, so the node budget bounds
+        its memory.  The stack holds one clique iterator per packed clique
         and the drop branch replaces the top frame, so it never holds more
         than `target` frames.
         """
         acc: list[tuple[int, ...]] = []
-        frames: list[tuple[VertexSet, Iterator[tuple[int, ...]]]] = []
+        frames: list[tuple[VertexSet, VertexSet, Iterator[tuple[int, ...]]]] = []
+        seen: set[tuple[VertexSet, VertexSet]] = set()
         pool = self.g.vertices_mask()
+        used = 0
         while True:
             self._tick()
             need = target - len(acc)
-            if need == 0:
-                yield tuple(acc)
-            elif pool.bit_count() // self.p >= need and self.upper_bound(pool, need - 1) >= need:
-                frames.append((pool, self._cliques_through_lowest(pool)))
+            state = (pool if need else 0, used)
+            if state in seen:
+                self.repeats += 1
+            else:
+                seen.add(state)
+                if need == 0:
+                    yield tuple(acc)
+                elif pool.bit_count() // self.p >= need and self.upper_bound(pool, need - 1) >= need:
+                    frames.append((pool, used, self._cliques_through_lowest(pool)))
             if not frames:
                 return
-            top, cliques = frames[-1]
+            top, used, cliques = frames[-1]
             del acc[len(frames) - 1:]  # frame i was pushed with i cliques packed
             c = next(cliques, None)
             if c is None:
@@ -251,7 +270,9 @@ class _PackSearch:
                 pool = top & ~self.twin_class[(top & -top).bit_length() - 1]
             else:
                 acc.append(c)
-                pool = top & ~mask_of(c)
+                cm = mask_of(c)
+                pool = top & ~cm
+                used |= cm
 
     def optimum(self) -> tuple[tuple[int, ...], ...]:
         """The first maximum packing in enumeration order.
@@ -283,6 +304,16 @@ def switch(packing: CliquePacking, index: int, c_out: Iterable[int], c_in: Itera
     The clique at `index` loses the subset c_out and gains c_in, which must
     lie entirely in the remainder; the result must again be a p-clique.
     """
+    cliques = list(packing.cliques)
+    cliques[index], _ = _switched(packing, index, c_out, c_in)
+    return make_packing(packing.host, packing.p, cliques, certified=packing.certified)
+
+
+def _switched(
+    packing: CliquePacking, index: int, c_out: Iterable[int], c_in: Iterable[int]
+) -> tuple[tuple[int, ...], VertexSet]:
+    """The switched clique and the new remainder, after checking the move
+    as switch() documents it."""
     g = packing.host
     r_old = packing.cliques[index]
     out_set = tuple(sorted(set(c_out)))
@@ -291,15 +322,14 @@ def switch(packing: CliquePacking, index: int, c_out: Iterable[int], c_in: Itera
         raise ValueError("switched sets must have equal size")
     if not set(out_set) <= set(r_old):
         raise ValueError(f"{out_set} is not a subset of the packed clique {r_old}")
-    if mask_of(in_set) & ~packing.remainder:
+    in_mask = mask_of(in_set)
+    if in_mask & ~packing.remainder:
         raise ValueError(f"{in_set} is not contained in the remainder")
     r_new = tuple(sorted((set(r_old) - set(out_set)) | set(in_set)))
     for u, v in combinations(r_new, 2):
         if not g.has_edge(u, v):
             raise ValueError(f"replacement {r_new} is not a clique: missing edge {u}-{v}")
-    cliques = list(packing.cliques)
-    cliques[index] = r_new
-    return make_packing(g, packing.p, cliques, certified=packing.certified)
+    return r_new, packing.remainder & ~in_mask | mask_of(out_set)
 
 
 def switch_candidates(packing: CliquePacking, index: int, c_out: Iterable[int]) -> Iterator[tuple[int, ...]]:
@@ -324,11 +354,9 @@ def check_switch_inequality(
     second; returns (lhs, rhs, lhs >= rhs).
     """
     g = packing.host
-    r_old = packing.cliques[index]
-    rhs = edges_between(g, mask_of(r_old), packing.remainder)
-    switched = switch(packing, index, c_out, c_in)
-    r_new = tuple(sorted((set(r_old) - set(c_out)) | set(c_in)))
-    lhs = edges_between(g, mask_of(r_new), switched.remainder)
+    r_new, remainder = _switched(packing, index, c_out, c_in)
+    lhs = edges_between(g, mask_of(r_new), remainder)
+    rhs = edges_between(g, mask_of(packing.cliques[index]), packing.remainder)
     return lhs, rhs, lhs >= rhs
 
 
@@ -501,14 +529,15 @@ def best_r_star(packing: CliquePacking) -> tuple[int, int]:
 
 
 def _best_remainder_walk(g: Graph, p: int, budget: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """Visit the maximum packings up to twin swaps; return (size, best
-    remainder edges, witness).
+    """Visit one maximum packing per packed vertex set, up to twin swaps;
+    return (size, best remainder edges, witness).
 
     The witness is the first packing attaining the best remainder-edge count
-    in lexicographic order.  Twin swaps keep remainder edges, so one family
-    per orbit suffices.  Exponential in general; a blow-up of base_graph(p),
-    whose maximum packings are all twin swaps of one another, takes a few
-    hundred nodes.
+    in lexicographic order.  Remainder edges depend on the packed vertex set
+    alone and twin swaps keep them, so the least family of each set the
+    walk yields suffices.  Exponential in general; a blow-up of
+    base_graph(p), whose maximum packings are all twin swaps of one another,
+    takes a few hundred nodes.
     """
     search = _PackSearch(g, p, budget)
     target = len(search.optimum())
@@ -526,8 +555,10 @@ def _best_remainder_walk(g: Graph, p: int, budget: int) -> tuple[int, int, tuple
 def max_remainder_packing(g: Graph, p: int, budget: int = DEFAULT_PACKING_BUDGET) -> CliquePacking:
     """A maximum packing whose remainder-edge count is the global maximum.
 
-    Exhausts every maximum packing, so the returned packing satisfies the
-    strong form of the remainder condition, not just switch-stability.
+    Compares every maximum packing's remainder, walking one per packed
+    vertex set up to twin swaps, so the returned packing satisfies the
+    strong form of the remainder condition, not just switch-stability.  It
+    is the lexicographically first packing of best remainder.
     """
     if p < 2:
         raise ValueError("need p >= 2")
@@ -538,8 +569,11 @@ def max_remainder_packing(g: Graph, p: int, budget: int = DEFAULT_PACKING_BUDGET
 def certify_remainder_maximal(packing: CliquePacking, budget: int = DEFAULT_PACKING_BUDGET) -> tuple[bool, int]:
     """Exhaustively compare remainder edges across ALL maximum packings.
 
-    Returns (is_globally_maximal, best_remainder_edges).  Exponential in
-    general; blow-ups of base_graph(p) certify in a few hundred nodes.
+    Returns (is_globally_maximal, best_remainder_edges).  Remainder edges
+    depend on the packed vertex set alone and twin swaps keep them, so the
+    walk visits one packing per packed vertex set up to twin swaps.
+    Exponential in general; blow-ups of base_graph(p) certify in a few
+    hundred nodes.
     """
     g = packing.host
     target, best_edges, _ = _best_remainder_walk(g, packing.p, budget)

@@ -1,7 +1,12 @@
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 
@@ -68,11 +73,18 @@ def test_max_packing_budget_error(h1_310):
 
 def test_certify_shares_the_packing_budget():
     # 16 listed quotient triangles and 20 search nodes find the optimum;
-    # walking the maximum packings up to twin swaps takes 126 more
+    # walking the maximum packings takes 98 more, 12 of them nodes whose
+    # (pool, packed set) state was visited before
     g = random_kpfree_graph(12, 4, seed=0)
+    search = packing._PackSearch(g, 3, DEFAULT_PACKING_BUDGET)
+    target = len(search.optimum())
+    assert (search.nodes, search.repeats) == (36, 0)
+    assert len(list(search.packings(target))) == 1
+    assert (search.nodes, search.repeats) == (36 + 98, 12)
     pk = max_packing(g, 3, budget=100)
-    with pytest.raises(BudgetExceededError, match="packing search exceeded 100 nodes"):
-        certify_remainder_maximal(pk, budget=100)
+    assert certify_remainder_maximal(pk, budget=134) == (True, 0)
+    with pytest.raises(BudgetExceededError, match="packing search exceeded 133 nodes"):
+        certify_remainder_maximal(pk, budget=133)
 
 
 def test_packing_search_work_is_pinned(h1_310, deep_host):
@@ -172,11 +184,16 @@ def _cliques_through_lowest(g, p, pool):
     return ((v,) + rest for rest in enumerate_cliques(g, p - 1, pool & g.adj[v]))
 
 
-def _all_packings(search, target):
+def _all_packings(search, target, twin_canonical=False):
     """Every family of `target` disjoint p-cliques in lexicographic order, as
-    the enumerator walked them before it skipped twin swaps: each clique
-    through the pool's lowest vertex over the whole pool, then the branch
-    that drops that vertex alone.  Charged to the search's node counter."""
+    the enumerator walked them before it skipped repeated states, charged to
+    the search's node counter.
+
+    By default, as it walked them before it also skipped twin swaps: each
+    clique through the pool's lowest vertex over the whole pool, then the
+    branch that drops that vertex alone.  With twin_canonical, each clique
+    takes twin representatives only and the drop branch drops the whole
+    twin class, so every family up to twin swaps comes out."""
     g, p = search.g, search.p
     acc = []
     frames = []
@@ -187,7 +204,8 @@ def _all_packings(search, target):
         if need == 0:
             yield tuple(acc)
         elif pool.bit_count() // p >= need and search.upper_bound(pool, need - 1) >= need:
-            frames.append((pool, _cliques_through_lowest(g, p, pool)))
+            cliques = search._cliques_through_lowest(pool) if twin_canonical else _cliques_through_lowest(g, p, pool)
+            frames.append((pool, cliques))
         if not frames:
             return
         top, cliques = frames[-1]
@@ -195,16 +213,17 @@ def _all_packings(search, target):
         c = next(cliques, None)
         if c is None:
             frames.pop()
-            pool = top ^ (top & -top)
+            pool = top & ~(search.twin_class[(top & -top).bit_length() - 1] if twin_canonical else top & -top)
         else:
             acc.append(c)
             pool = top & ~mask_of(c)
 
 
-def _walk_over_all_packings(g, p):
-    """(optimum, (size, best remainder edges, witness), nodes) from the
-    greedy packing and _all_packings, as optimum() and _best_remainder_walk
-    computed them before."""
+def _walk_over_all_packings(g, p, twin_canonical=False):
+    """(optimum, (size, best remainder edges, witness), nodes, least) from
+    the greedy packing and _all_packings, as optimum() and
+    _best_remainder_walk computed them before; least maps each packed
+    vertex set of a maximum family walked to its first family."""
     search = packing._PackSearch(g, p, DEFAULT_PACKING_BUDGET)
     best = []
     pool = g.vertices_mask()
@@ -216,14 +235,16 @@ def _walk_over_all_packings(g, p):
             best.append(c)
             pool &= ~mask_of(c)
     best = tuple(best)
-    while (larger := next(_all_packings(search, len(best) + 1), None)) is not None:
+    while (larger := next(_all_packings(search, len(best) + 1, twin_canonical), None)) is not None:
         best = larger
     best_edges, witness = -1, ()
-    for family in _all_packings(search, len(best)):
+    least = {}
+    for family in _all_packings(search, len(best), twin_canonical):
+        least.setdefault(mask_of(chain(*family)), family)
         e = induced_edges(g, g.vertices_mask() & ~mask_of(chain(*family)))
         if e > best_edges:
             best_edges, witness = e, family
-    return best, (len(best), best_edges, witness), search.nodes
+    return best, (len(best), best_edges, witness), search.nodes, least
 
 
 def _walk_hosts(p):
@@ -237,13 +258,42 @@ def _walk_hosts(p):
 def test_twin_walk_matches_walk_over_all_packings(p):
     # same optimum, same (size, best, witness), and never more nodes
     for g in _walk_hosts(p):
-        optimum, walk, slow_nodes = _walk_over_all_packings(g, p)
+        optimum, walk, slow_nodes, _ = _walk_over_all_packings(g, p)
         search = packing._PackSearch(g, p, DEFAULT_PACKING_BUDGET)
         assert search.optimum() == optimum, g.adj
         for _ in search.packings(len(optimum)):
             pass
         assert search.nodes <= slow_nodes, g.adj
         assert packing._best_remainder_walk(g, p, DEFAULT_PACKING_BUDGET) == walk, g.adj
+
+
+def _bench_recipe_hosts():
+    """Hosts built as the packing-certify benchmark builds its own:
+    K4-free on n = 12..16 vertices at the Turán count."""
+    for i in range(40):
+        n = 12 + i % 5
+        yield random_kpfree_graph(n, 4, seed=1000 + i, target_edges=turan_number(n, 4))
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_state_table_walk_matches_twin_walk(p):
+    # against the twin-canonical walk without the (pool, packed set) table:
+    # same optimum, walk and certificate, never more nodes, and the least
+    # family of every packed vertex set, one per set, in the same order
+    hosts = chain(_walk_hosts(p), _bench_recipe_hosts() if p == 3 else ())
+    repeats = 0
+    for g in hosts:
+        optimum, walk, slow_nodes, least = _walk_over_all_packings(g, p, twin_canonical=True)
+        search = packing._PackSearch(g, p, DEFAULT_PACKING_BUDGET)
+        assert search.optimum() == optimum, g.adj
+        assert list(search.packings(len(optimum))) == list(least.values()), g.adj
+        assert search.nodes <= slow_nodes, g.adj
+        repeats += search.repeats
+        assert packing._best_remainder_walk(g, p, DEFAULT_PACKING_BUDGET) == walk, g.adj
+        remainder = g.vertices_mask() & ~mask_of(chain(*optimum))
+        _, best, _ = walk
+        assert certify_remainder_maximal(max_packing(g, p)) == (induced_edges(g, remainder) == best, best), g.adj
+    assert repeats > 0
 
 
 # (h1 cell, nodes of the certify walk): V0..V_{p-1} are twin classes and
@@ -349,13 +399,16 @@ def test_switch_vertex_swap(h1_310, h1_310_packing):
 
 
 def test_switch_rejects_bad_moves(h1_310_packing):
-    pk = h1_310_packing
-    with pytest.raises(ValueError):
-        switch(pk, 0, (4,), (5,))  # 5 is inside another packed clique
-    with pytest.raises(ValueError):
-        switch(pk, 0, (4,), (36,))  # result is not a clique
-    with pytest.raises(ValueError):
-        switch(pk, 0, (4,), (8, 9))  # size mismatch
+    pk = h1_310_packing  # clique 0 is (0, 4, 20)
+    for move in (switch, check_switch_inequality):
+        with pytest.raises(ValueError, match="not contained in the remainder"):
+            move(pk, 0, (4,), (5,))  # 5 is inside another packed clique
+        with pytest.raises(ValueError, match="not a clique"):
+            move(pk, 0, (4,), (36,))
+        with pytest.raises(ValueError, match="equal size"):
+            move(pk, 0, (4,), (8, 9))
+        with pytest.raises(ValueError, match="not a subset"):
+            move(pk, 0, (5,), (8,))  # 5 is not in clique 0
 
 
 def test_empty_switch_is_identity(h1_310_packing):
@@ -610,8 +663,35 @@ def test_switch_inequality_on_certified_instances():
                     for c_in in options:
                         lhs, rhs, holds = check_switch_inequality(cert, index, c_out, c_in)
                         assert holds, (seed, index, c_out, c_in, lhs, rhs)
+                        assert (lhs, rhs, holds) == _switch_inequality_via_packing(cert, index, c_out, c_in)
                         held += 1
     assert held > 50
+
+
+def _switch_inequality_via_packing(pk, index, c_out, c_in):
+    """check_switch_inequality as it was: it builds the whole switched
+    packing to read the new remainder."""
+    g = pk.host
+    r_old = pk.cliques[index]
+    rhs = edges_between(g, mask_of(r_old), pk.remainder)
+    switched = switch(pk, index, c_out, c_in)
+    r_new = tuple(sorted((set(r_old) - set(c_out)) | set(c_in)))
+    lhs = edges_between(g, mask_of(r_new), switched.remainder)
+    return lhs, rhs, lhs >= rhs
+
+
+def test_switch_inequality_matches_whole_packing_on_unrefined_packings():
+    # maximum packings before refinement, where some switches lose edges
+    lost = 0
+    for seed in range(12):
+        pk = max_packing(random_kpfree_graph(14, 4, seed=seed), 3)
+        for index, clique in enumerate(pk.cliques):
+            for c_out in chain.from_iterable(combinations(clique, size) for size in (1, 2, 3)):
+                for c_in in switch_candidates(pk, index, c_out):
+                    got = check_switch_inequality(pk, index, c_out, c_in)
+                    assert got == _switch_inequality_via_packing(pk, index, c_out, c_in), (seed, index, c_out, c_in)
+                    lost += not got[2]
+    assert lost > 0
 
 
 def test_max_remainder_packing_dominates_refinement():
@@ -635,3 +715,23 @@ def test_density_and_masks(h1_310_packing):
     assert packed.bit_count() == 12
     assert packed & pk.remainder == 0
     assert packed | pk.remainder == pk.host.vertices_mask()
+
+
+PROFILE_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "packing_profile.py"
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_packing_profile_script_meets_its_bounds(p):
+    # h1(p, 1, 0) has the divisible extremal count, delta = 0, where every
+    # bound the script prints holds, and with equality
+    src = str(PROFILE_SCRIPT.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, str(PROFILE_SCRIPT), "--p", str(p)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert re.search(r"^bounds at delta=(-?\d+):$", run.stdout, re.M).group(1) == "0"
+    bounds = re.findall(r"^  .* (\S+) >= (\S+)$", run.stdout, re.M)
+    assert len(bounds) == 4, run.stdout
+    for lhs, rhs in bounds:
+        assert Fraction(lhs) == Fraction(rhs)
