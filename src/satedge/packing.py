@@ -5,7 +5,9 @@ rest of the host.  One depth-first enumerator yields the packings of a given
 size in lexicographic order, up to twin swaps the least family of every
 packed vertex set, pruned by a greedy hitting-set bound and visiting each
 (pool, packed set) state once; the maximum packing, the best-remainder
-packing and its certificate all walk it.
+packing and its certificate all walk it.  A maximum packing's remainder has
+no p-clique, else one more would fit, so Turán's bound caps its edges and
+the best-remainder walk stops at the first family that meets the cap.
 It keeps an explicit stack, so host size does not bound its depth.  The
 bound ranks false-twin classes, not vertices, over the p-cliques of the
 host's twin-class quotient, which each search lists once.
@@ -535,12 +537,18 @@ def _best_remainder_walk(g: Graph, p: int, budget: int) -> tuple[int, int, tuple
     The witness is the first packing attaining the best remainder-edge count
     in lexicographic order.  Remainder edges depend on the packed vertex set
     alone and twin swaps keep them, so the least family of each set the
-    walk yields suffices.  Exponential in general; a blow-up of
-    base_graph(p), whose maximum packings are all twin swaps of one another,
-    takes a few hundred nodes.
+    walk yields suffices.  A maximum packing's remainder R has no p-clique,
+    else one more clique would fit, so by Turán's theorem it has at most
+    turan_number(|R|, p) edges.  The walk stops at the first family that
+    meets this cap: no later family beats it, and families come in
+    lexicographic order, so the result is the full walk's.  Below the cap
+    the walk runs to the end.  Exponential in general; a blow-up of
+    base_graph(p), whose remainder is the Turán graph on its vertices,
+    stops within a few hundred nodes.
     """
     search = _PackSearch(g, p, budget)
     target = len(search.optimum())
+    cap = turan_number(g.n - target * p, p)
     full = g.vertices_mask()
     best_edges = -1
     best_family: tuple[tuple[int, ...], ...] = ()
@@ -549,6 +557,8 @@ def _best_remainder_walk(g: Graph, p: int, budget: int) -> tuple[int, int, tuple
         if e > best_edges:
             best_edges = e
             best_family = family
+            if e == cap:
+                break
     return target, best_edges, best_family
 
 
@@ -556,9 +566,11 @@ def max_remainder_packing(g: Graph, p: int, budget: int = DEFAULT_PACKING_BUDGET
     """A maximum packing whose remainder-edge count is the global maximum.
 
     Compares every maximum packing's remainder, walking one per packed
-    vertex set up to twin swaps, so the returned packing satisfies the
-    strong form of the remainder condition, not just switch-stability.  It
-    is the lexicographically first packing of best remainder.
+    vertex set up to twin swaps and stopping at the first remainder that
+    meets the Turán cap, which no maximum packing's remainder exceeds; so
+    the returned packing satisfies the strong form of the remainder
+    condition, not just switch-stability.  It is the lexicographically
+    first packing of best remainder.
     """
     if p < 2:
         raise ValueError("need p >= 2")
@@ -567,13 +579,17 @@ def max_remainder_packing(g: Graph, p: int, budget: int = DEFAULT_PACKING_BUDGET
 
 
 def certify_remainder_maximal(packing: CliquePacking, budget: int = DEFAULT_PACKING_BUDGET) -> tuple[bool, int]:
-    """Exhaustively compare remainder edges across ALL maximum packings.
+    """Compare this packing's remainder edges with the best over all
+    maximum packings.
 
     Returns (is_globally_maximal, best_remainder_edges).  Remainder edges
     depend on the packed vertex set alone and twin swaps keep them, so the
-    walk visits one packing per packed vertex set up to twin swaps.
-    Exponential in general; blow-ups of base_graph(p) certify in a few
-    hundred nodes.
+    walk visits one packing per packed vertex set up to twin swaps.  A
+    maximum packing's remainder R is K_p-free, else the packing would not
+    be maximum, so no remainder has more than turan_number(|R|, p) edges:
+    the walk stops at the first one that has that many, and the best it
+    reports is exact.  Exponential in general; blow-ups of base_graph(p),
+    whose remainders meet the cap, certify in a few hundred nodes.
     """
     g = packing.host
     target, best_edges, _ = _best_remainder_walk(g, packing.p, budget)

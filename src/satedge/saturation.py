@@ -15,7 +15,6 @@ materialised, so hosts far past the vertex cap can be counted.
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,8 +114,9 @@ def count_saturating(host: Graph | BlowupSpec, p: int, *, edges: bool = False, t
         chunks = min(threads * 4, k)
         bounds = [k * i // chunks for i in range(chunks + 1)]
         args = [(q, live, p, bounds[i], bounds[i + 1]) for i in range(chunks)]
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=threads) as pool:
+        import multiprocessing  # loaded only where a pool starts
+
+        with multiprocessing.get_context().Pool(processes=threads) as pool:
             found = [pair for pairs in pool.starmap(_class_pairs, args) for pair in pairs]
     total = sum(size[i] * (size[i] - 1) // 2 if i == j else size[i] * size[j] for i, j in found)
     listed = _vertex_pairs(_parts(host), q.n, found) if edges else None

@@ -43,7 +43,6 @@ involved.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -298,6 +297,8 @@ def _generate_classes(
         # batches are consumed as they come, so the candidates' canonical
         # graphs are never all held at once
         if threads > 1 and total_candidates > 256:
+            import multiprocessing  # loaded only where a pool starts
+
             with multiprocessing.get_context().Pool(processes=threads) as pool:
                 reps = _by_key(pool.imap(_extend_batch, tasks))
         else:

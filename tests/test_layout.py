@@ -4,10 +4,14 @@ No module imports another module's private (`_`-prefixed) name, and no
 function imports from the package inside its body: every dependency
 between modules is public and visible at the top of the importing file.
 No module or script uses `assert`, which `python -O` strips: checks raise a
-named error or count as a failure instead.
+named error or count as a failure instead.  Importing the package and its
+CLI loads no `multiprocessing`: only a call that starts a worker pool does.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +59,12 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} uses assert on line(s) {lines}"
+
+
+def test_import_loads_no_multiprocessing():
+    code = "import sys, satedge, satedge.cli\nprint('multiprocessing' in sys.modules)\n"
+    src = str(PACKAGE.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

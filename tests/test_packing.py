@@ -73,8 +73,10 @@ def test_max_packing_budget_error(h1_310):
 
 def test_certify_shares_the_packing_budget():
     # 16 listed quotient triangles and 20 search nodes find the optimum;
-    # walking the maximum packings takes 98 more, 12 of them nodes whose
-    # (pool, packed set) state was visited before
+    # walking all the maximum packings takes 98 more, 12 of them nodes whose
+    # (pool, packed set) state was visited before.  The optimum packs all 12
+    # vertices, so the Turán cap on the remainder is 0 edges and certify
+    # stops at the first family, 19 nodes into the walk
     g = random_kpfree_graph(12, 4, seed=0)
     search = packing._PackSearch(g, 3, DEFAULT_PACKING_BUDGET)
     target = len(search.optimum())
@@ -82,9 +84,9 @@ def test_certify_shares_the_packing_budget():
     assert len(list(search.packings(target))) == 1
     assert (search.nodes, search.repeats) == (36 + 98, 12)
     pk = max_packing(g, 3, budget=100)
-    assert certify_remainder_maximal(pk, budget=134) == (True, 0)
-    with pytest.raises(BudgetExceededError, match="packing search exceeded 133 nodes"):
-        certify_remainder_maximal(pk, budget=133)
+    assert certify_remainder_maximal(pk, budget=36 + 19) == (True, 0)
+    with pytest.raises(BudgetExceededError, match="packing search exceeded 54 nodes"):
+        certify_remainder_maximal(pk, budget=36 + 19 - 1)
 
 
 def test_packing_search_work_is_pinned(h1_310, deep_host):
@@ -254,9 +256,21 @@ def _walk_hosts(p):
         yield _planted_twin_host(seed, 5 + seed % 3, p, max_n=14)
 
 
+def _cap_side(g, p, walk, sides):
+    """Check the walk's best against the Turán cap on its remainder and
+    count the host as stopping at the cap or walking in full below it."""
+    size, best, _ = walk
+    cap = turan_number(g.n - size * p, p)
+    assert best <= cap, g.adj
+    sides[best == cap] += 1
+
+
 @pytest.mark.parametrize("p", [3, 4])
 def test_twin_walk_matches_walk_over_all_packings(p):
-    # same optimum, same (size, best, witness), and never more nodes
+    # same optimum, same (size, best, witness), and never more nodes; the
+    # walks compared never stop early, and hosts both at and below the cap
+    # are among those checked
+    sides = [0, 0]
     for g in _walk_hosts(p):
         optimum, walk, slow_nodes, _ = _walk_over_all_packings(g, p)
         search = packing._PackSearch(g, p, DEFAULT_PACKING_BUDGET)
@@ -265,6 +279,8 @@ def test_twin_walk_matches_walk_over_all_packings(p):
             pass
         assert search.nodes <= slow_nodes, g.adj
         assert packing._best_remainder_walk(g, p, DEFAULT_PACKING_BUDGET) == walk, g.adj
+        _cap_side(g, p, walk, sides)
+    assert min(sides) > 0, sides
 
 
 def _bench_recipe_hosts():
@@ -279,9 +295,11 @@ def _bench_recipe_hosts():
 def test_state_table_walk_matches_twin_walk(p):
     # against the twin-canonical walk without the (pool, packed set) table:
     # same optimum, walk and certificate, never more nodes, and the least
-    # family of every packed vertex set, one per set, in the same order
+    # family of every packed vertex set, one per set, in the same order;
+    # hosts both at and below the Turán cap are among those checked
     hosts = chain(_walk_hosts(p), _bench_recipe_hosts() if p == 3 else ())
     repeats = 0
+    sides = [0, 0]
     for g in hosts:
         optimum, walk, slow_nodes, least = _walk_over_all_packings(g, p, twin_canonical=True)
         search = packing._PackSearch(g, p, DEFAULT_PACKING_BUDGET)
@@ -293,15 +311,19 @@ def test_state_table_walk_matches_twin_walk(p):
         remainder = g.vertices_mask() & ~mask_of(chain(*optimum))
         _, best, _ = walk
         assert certify_remainder_maximal(max_packing(g, p)) == (induced_edges(g, remainder) == best, best), g.adj
+        _cap_side(g, p, walk, sides)
     assert repeats > 0
+    assert min(sides) > 0, sides
 
 
 # (h1 cell, nodes of the certify walk): V0..V_{p-1} are twin classes and
 # every maximum packing takes one vertex of each per clique, so all maximum
-# packings are twin swaps of one another
-BLOWUP_CERTIFY_NODES = [((3, 1, y), nodes) for y, nodes in enumerate((30, 49, 72, 99))] + [
-    ((3, 2, 0), 72),
-    ((4, 1, 0), 400),
+# packings are twin swaps of one another.  The remainder is the Turán graph
+# on its vertices (729, 600, 484, 380, 2916 and 19200 edges), which meets
+# the cap, so the walk stops at its first family
+BLOWUP_CERTIFY_NODES = [((3, 1, y), nodes) for y, nodes in enumerate((22, 37, 56, 79))] + [
+    ((3, 2, 0), 56),
+    ((4, 1, 0), 352),
 ]
 
 
@@ -312,6 +334,7 @@ def test_blowups_certify_within_budget(cell, nodes):
     g = h1(*cell).graph
     p = cell[0]
     pk = max_packing(g, p)
+    assert induced_edges(g, pk.remainder) == turan_number(g.n - pk.size * p, p)
     assert certify_remainder_maximal(pk, budget=nodes) == (True, induced_edges(g, pk.remainder))
     with pytest.raises(BudgetExceededError):
         certify_remainder_maximal(pk, budget=nodes - 1)
