@@ -5,12 +5,12 @@ K_{p+1}-free hosts with one edge more than the extremal K_p-free count.
 Every row is an exhaustive search over canonical isomorphism classes, so a
 positive minimum is a proof at that size, not a sample.  Row 5..8 at the
 default p=3 reproduces the frozen regression values 1, 1, 2, 3.  The
-`explored` column counts the candidates that were canonically labelled over
-all passes of the deepening count bound: 16, 36, 123, 392, 585, 3335, 11390
-and 25641 for n = 5..12 at p = 3, where one pass over every class labelled
-11, 39, 174, 744, 5804 and 43697 for n = 5..10.  Past n = 6 the pruning
-labels far fewer, so a given --budget reaches further: n = 12 takes a few
-seconds at p = 3 and at p = 4.
+`explored` column counts the candidates that were canonically labelled, each
+once over all passes of the deepening count bound: 6, 13, 36, 136, 185,
+1001, 2929 and 7001 for n = 5..12 at p = 3, where one unpruned pass over
+every class labels 6, 22, 107, 467, 4032 and 30584 for n = 5..10.  The
+pruning labels far fewer past n = 5, so a given --budget reaches further:
+n = 12 takes under two seconds at p = 3 and under one at p = 4.
 """
 
 import argparse

@@ -4,18 +4,23 @@ The engine enumerates K_p-free graphs on n vertices up to isomorphism by
 level-wise vertex extension with canonical-form deduplication, then takes
 the minimum saturating count over the classes with the requested edge count.
 Classes grow along a minimum-degree construction path, and `explored`
-counts the candidates that are canonically labelled.
+counts the candidates that are canonically labelled.  A parent's twins
+(equal open or closed neighbourhoods) are swapped by automorphisms, so a
+new vertex is joined only to one set per orbit of those swaps: the set
+that takes the lowest members of each twin class.
 
-The single-edge-count searches prune by the saturating count itself.
-Deleting a vertex w never raises it, f_p(H - w) <= f_p(H): every non-edge
-of H - w is one of H, and (H - w) + uv lies inside H + uv.  So "at most U
-saturating edges" is hereditary, and generation by canonical deletion may
-drop every class above U at every level without losing a class within it
-(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
-The bound deepens U = 0, 1, 2, ...; the first pass that reaches an e-edge
-class has the exact minimum and all its witnesses.  The jump search then
-runs to n = 12 at p = 3 in seconds.  `min_saturating_table` needs every
-edge count, so it enumerates all classes in one unpruned pass.
+Every search prunes by the saturating count itself.  Deleting a vertex w
+never raises it, f_p(H - w) <= f_p(H): every non-edge of H - w is one of
+H, and (H - w) + uv lies inside H + uv.  So "at most U saturating edges"
+is hereditary, and generation by canonical deletion may drop every class
+above U at every level without losing a class within it (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  The
+bound deepens U = 0, 1, 2, ...; the first pass that reaches an e-edge
+class has the exact minimum and all its witnesses, and the table stops at
+the first pass that reaches every edge count.  The passes of one search
+share their levels: a pass labels only the children of parents no
+earlier pass expanded, so each candidate is labelled once per search.
+The jump search then runs to n = 12 at p = 3 in under two seconds.
 
 Canonical form: vertices are first partitioned by iterated degree
 refinement; the canonical labeling is the class-respecting relabeling that
@@ -46,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, graph6_encode
+from .graph import Graph, bits, graph6_encode
 from .constructions import turan_graph, turan_number
 from .formulas import CheckFailedError
 from .saturation import count_saturating
@@ -100,6 +105,21 @@ def _refined_colors(g: Graph) -> list[int]:
     return colors
 
 
+def _twin_masks(adj: tuple[int, ...]) -> list[int]:
+    """twins[v]: v's false twins (equal neighbourhoods) or true twins (equal
+    closed neighbourhoods), v included.
+
+    No vertex has both kinds, so these are the twin classes, and swapping
+    two members of one class is an automorphism.
+    """
+    open_nbhd: dict[int, int] = {}
+    closed_nbhd: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        open_nbhd[a] = open_nbhd.get(a, 0) | 1 << v
+        closed_nbhd[a | 1 << v] = closed_nbhd.get(a | 1 << v, 0) | 1 << v
+    return [open_nbhd[a] | closed_nbhd[a | 1 << v] for v, a in enumerate(adj)]
+
+
 def canonical_ordering(g: Graph) -> tuple[int, ...]:
     """Position -> original vertex for the canonical labeling.
 
@@ -125,14 +145,7 @@ def canonical_ordering(g: Graph) -> tuple[int, ...]:
     for v, c in enumerate(colors):
         cells[c].append(v)
     slots = [cell for cell in cells for _ in cell]
-    # twins[v]: v's false twins (equal neighbourhoods) or true twins (equal
-    # closed neighbourhoods), v included; no vertex has both kinds
-    open_nbhd: dict[int, int] = {}
-    closed_nbhd: dict[int, int] = {}
-    for v, a in enumerate(adj):
-        open_nbhd[a] = open_nbhd.get(a, 0) | 1 << v
-        closed_nbhd[a | 1 << v] = closed_nbhd.get(a | 1 << v, 0) | 1 << v
-    twins = [open_nbhd[a] | closed_nbhd[a | 1 << v] for v, a in enumerate(adj)]
+    twins = _twin_masks(adj)
 
     best_cols: Optional[list[int]] = None
     best_perm: Optional[tuple[int, ...]] = None
@@ -218,10 +231,43 @@ def _extend_batch(task: tuple[Graph, list[int]]) -> list[tuple[str, Graph]]:
     return [(graph6_encode(cg), cg) for cg in graphs]
 
 
-def _by_key(batches: Iterable[list[tuple[str, Graph]]]) -> dict[str, Graph]:
-    """Canonical key -> canonical graph over all batches, in key order."""
-    found = {key: cg for batch in batches for key, cg in batch}
-    return dict(sorted(found.items()))
+def _extensions(g: Graph, p: int, m_lo: int, e_max: int) -> list[int]:
+    """The masks s, in increasing order, that join a new vertex to g as a
+    candidate child: the new vertex has minimum degree in g + s, the child
+    has m_lo to e_max edges, and s holds no (p-1)-clique.
+
+    Only one s per orbit of g's twin swaps is listed: the one that takes
+    the lowest members of each twin class.  Swapping two twins of g is an
+    automorphism sigma, so g + s and g + sigma(s) are isomorphic, and every
+    filter above reads only degrees, |s| and cliques, which sigma keeps.
+    """
+    degrees = [a.bit_count() for a in g.adj]
+    delta = min(degrees)
+    low = sum(1 << v for v, d in enumerate(degrees) if d == delta)
+    d_lo, d_hi = m_lo - g.m, min(e_max - g.m, delta + 1)
+    twins = _twin_masks(g.adj)
+    # (mask, size) of the orbit representatives over the classes so far,
+    # dropped once the size can no longer end in [d_lo, d_hi]
+    partial = [(0, 0)]
+    left = g.n
+    for v, members in enumerate(twins):
+        if members & -members != 1 << v:
+            continue  # the class was taken at its lowest member
+        left -= members.bit_count()
+        prefixes = [0]
+        for u in bits(members):
+            prefixes.append(prefixes[-1] | 1 << u)
+        partial = [
+            (s | prefix, d + j)
+            for s, d in partial
+            for j, prefix in enumerate(prefixes)
+            if d_lo <= d + j + left and d + j <= d_hi
+        ]
+    return sorted(
+        s
+        for s, d in partial
+        if (d <= delta or s & low == low) and g.clique_in(s, p - 1) is None
+    )
 
 
 class _Budget:
@@ -234,6 +280,97 @@ class _Budget:
         granted = min(amount, self.limit - self.spent)
         self.spent += max(granted, 0)
         return max(granted, 0)
+
+
+class _Levels:
+    """The classes of one search, level by level, kept from one pass of a
+    deepening count bound to the next.
+
+    levels[k] maps the canonical key of each class on k + 1 vertices
+    labelled so far to (canonical graph, saturating count), the count None
+    when the pass has no bound; expanded[k] holds the keys whose children
+    are in levels[k + 1].  A pass expands only the parents within its bound
+    that no earlier pass expanded, so each candidate is labelled once per
+    search.  Use it as a context manager: a process pool, started at the
+    first batch of more than 256 candidates when threads > 1, serves every
+    later level and pass and is closed on exit.
+    """
+
+    def __init__(self, n: int, p: int, e_min: int, e_max: int, budget: _Budget, threads: int):
+        self.n, self.p, self.e_min, self.e_max = n, p, e_min, e_max
+        self.budget = budget
+        self.threads = threads
+        self.pool = None
+        single = Graph(1, (0,))
+        self.levels: list[dict[str, tuple[Graph, Optional[int]]]] = [{graph6_encode(single): (single, 0)}]
+        self.levels += [{} for _ in range(n - 1)]
+        self.expanded: list[set[str]] = [set() for _ in range(n)]
+
+    def __enter__(self) -> "_Levels":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.pool is not None:
+            self.pool.terminate()
+            self.pool.join()
+
+    def _label(self, tasks: list[tuple[Graph, list[int]]], total: int) -> Iterable[list[tuple[str, Graph]]]:
+        """The labelled batches of one level, consumed as they come, so the
+        candidates' canonical graphs are never all held at once."""
+        if self.threads > 1 and total > 256:
+            if self.pool is None:
+                import multiprocessing  # loaded only where a pool starts
+
+                self.pool = multiprocessing.get_context().Pool(processes=self.threads)
+            return self.pool.imap(_extend_batch, tasks)
+        return map(_extend_batch, tasks)
+
+    def classes(self, bound: Optional[int] = None) -> tuple[dict[str, tuple[Graph, Optional[int]]], bool]:
+        """One pass: the classes on n vertices with at most `bound` saturating
+        edges (all of them without a bound), as key -> (graph, count) in key
+        order; exact is False on budget exhaustion.
+
+        Count is hereditary and the edge window reads only the class, so
+        the classes on k vertices within a bound are the same whatever
+        bounds earlier passes had: the stored ones within it plus the
+        children of the parents expanded now.
+        """
+        n, p = self.n, self.p
+        for k in range(1, n):
+            # ceil(e_min * C(k+1, 2) / C(n, 2)); at least e_min - C(n, 2) + C(k+1, 2)
+            m_lo = -(-self.e_min * (k + 1) * k // (n * (n - 1)))
+            parents, done = self.levels[k - 1], self.expanded[k - 1]
+            tasks: list[tuple[Graph, list[int]]] = []
+            total = 0
+            exact = True
+            for key in sorted(parents):
+                g, count = parents[key]
+                if key in done or (bound is not None and count > bound):
+                    continue
+                done.add(key)
+                nbhds = _extensions(g, p, m_lo, self.e_max)
+                granted = self.budget.take(len(nbhds))
+                if granted < len(nbhds):
+                    exact = False
+                    nbhds = nbhds[:granted]
+                total += len(nbhds)
+                if nbhds:
+                    tasks.append((g, nbhds))
+                if not exact:
+                    break
+            children = self.levels[k]
+            for batch in self._label(tasks, total):
+                for key, cg in batch:
+                    if key not in children:
+                        children[key] = (cg, None if bound is None else count_saturating(cg, p).total)
+            if not exact:
+                # a cut level cannot vouch for completeness of later ones
+                return (self._within(k, bound) if k == n - 1 else {}), False
+        return self._within(n - 1, bound), True
+
+    def _within(self, k: int, bound: Optional[int]) -> dict[str, tuple[Graph, Optional[int]]]:
+        level = self.levels[k]
+        return {key: level[key] for key in sorted(level) if bound is None or level[key][1] <= bound}
 
 
 def _generate_classes(
@@ -255,69 +392,27 @@ def _generate_classes(
     representative of H - w extended by N(w), w of minimum degree.  That
     deletion never lowers the edge density m / C(k, 2), so a child on k + 1
     vertices needs e_min * C(k + 1, 2) / C(n, 2) to e_max edges.  K_p-free
-    children that pass are the candidates (one unit of budget each),
-    deduplicated by canonical key.
+    children that pass, one per orbit of the parent's twin swaps, are the
+    candidates (one unit of budget each), deduplicated by canonical key.
 
     With a `bound`, each deduplicated level keeps only the classes with at
     most `bound` p-saturating edges.  The count never rises under vertex
     deletion, so every class within the bound keeps all of its min-degree
     deletion ancestors and is still generated; classes above it are not.
+    Without one, no class is counted.
     """
-    single = Graph(1, (0,))
-    reps = {graph6_encode(single): single}
-    exact = True
-    for k in range(1, n):
-        # ceil(e_min * C(k+1, 2) / C(n, 2)); at least e_min - C(n, 2) + C(k+1, 2)
-        m_lo = -(-e_min * (k + 1) * k // (n * (n - 1)))
-        tasks: list[tuple[Graph, list[int]]] = []
-        total_candidates = 0
-        for g in reps.values():
-            degrees = [a.bit_count() for a in g.adj]
-            delta = min(degrees)
-            low = sum(1 << v for v, d in enumerate(degrees) if d == delta)
-            nbhds = []
-            for s in range(1 << k):
-                d = s.bit_count()
-                if d > delta and (d > delta + 1 or s & low != low):
-                    continue
-                if not m_lo <= g.m + d <= e_max:
-                    continue
-                if g.clique_in(s, p - 1) is not None:
-                    continue
-                nbhds.append(s)
-            granted = budget.take(len(nbhds))
-            if granted < len(nbhds):
-                exact = False
-                nbhds = nbhds[:granted]
-            total_candidates += len(nbhds)
-            if nbhds:
-                tasks.append((g, nbhds))
-            if not exact:
-                break
-        # batches are consumed as they come, so the candidates' canonical
-        # graphs are never all held at once
-        if threads > 1 and total_candidates > 256:
-            import multiprocessing  # loaded only where a pool starts
-
-            with multiprocessing.get_context().Pool(processes=threads) as pool:
-                reps = _by_key(pool.imap(_extend_batch, tasks))
-        else:
-            reps = _by_key(map(_extend_batch, tasks))
-        if bound is not None:
-            reps = {key: g for key, g in reps.items() if count_saturating(g, p).total <= bound}
-        if not exact:
-            # a cut level cannot vouch for completeness of later ones
-            return (reps if k == n - 1 else {}), False
-    return reps, exact
+    with _Levels(n, p, e_min, e_max, budget, threads) as levels:
+        classes, exact = levels.classes(bound)
+    return {key: g for key, (g, _) in classes.items()}, exact
 
 
 @dataclass(frozen=True)
 class SearchResult:
     """One search's minimum and every minimising class (canonical graph6).
 
-    `explored` counts the candidates canonically labelled, summed over the
-    passes of a deepening count bound; `exact` is False when the budget ran
-    out first.
+    `explored` counts the candidates canonically labelled over all passes
+    of a deepening count bound, each once; `exact` is False when the budget
+    ran out first.
     """
 
     n: int
@@ -355,7 +450,7 @@ def _validate_instance(n: int, e: int, p: int):
 
 
 def _minimise(
-    classes: dict[str, Graph],
+    classes: dict[str, tuple[Graph, int]],
     n: int,
     e: int,
     p: int,
@@ -364,17 +459,16 @@ def _minimise(
     excluded: Optional[str] = None,
 ) -> SearchResult:
     """The least saturating count over the classes (canonical key ->
-    canonical graph) with e edges.
+    (canonical graph, its p-saturating count)) with e edges.
 
     Witnesses are the canonical keys of every minimising class; the class
     whose key is `excluded` is skipped.
     """
     best: Optional[int] = None
     witnesses: list[str] = []
-    for key, g in classes.items():
+    for key, (g, total) in classes.items():
         if g.m != e or key == excluded:
             continue
-        total = count_saturating(g, p).total
         if best is None or total < best:
             best = total
             witnesses = [key]
@@ -400,16 +494,17 @@ def _deepening_search(
     The first pass that finds an e-edge class (other than `excluded`) with
     at most U saturating edges has the exact minimum and every minimising
     class; a pass at U = C(n, 2) - e prunes nothing with e edges, so the
-    passes end.  All passes share one budget, `explored` counts the
-    candidates labelled over all of them, and running out returns that
+    passes end.  The passes share one level store and one budget, so
+    `explored` counts each candidate once, and running out returns that
     pass's partial result with exact=False.
     """
     tracker = _Budget(budget)
-    for bound in range(n * (n - 1) // 2 - e + 1):
-        reps, exact = _generate_classes(n, p, e, e, tracker, threads, bound)
-        result = _minimise(reps, n, e, p, tracker.spent, exact, excluded)
-        if result.minimum is not None or not exact:
-            break
+    with _Levels(n, p, e, e, tracker, threads) as levels:
+        for bound in range(n * (n - 1) // 2 - e + 1):
+            classes, exact = levels.classes(bound)
+            result = _minimise(classes, n, e, p, tracker.spent, exact, excluded)
+            if result.minimum is not None or not exact:
+                break
     return result
 
 
@@ -427,7 +522,8 @@ def min_saturating(
     Witnesses are canonical graph6 strings of every minimizing class.
     Classes are generated in passes that keep only those with at most
     U = 0, 1, 2, ... saturating edges, up to the first U that admits an
-    e-edge class; `explored` and the budget cover all passes.
+    e-edge class; `explored` and the budget cover all passes, in which
+    each candidate is labelled once.
     """
     _validate_instance(n, e, p)
     return _deepening_search(n, e, p, budget, threads)
@@ -440,18 +536,23 @@ def min_saturating_table(
     budget: int = DEFAULT_SEARCH_BUDGET,
     threads: int = 1,
 ) -> dict[int, SearchResult]:
-    """min_saturating for every edge count 0..e_max from one shared pass,
-    over every class: no count bound serves all edge counts at once."""
+    """min_saturating for every edge count 0..e_max from one deepening over
+    the edge window [0, e_max].
+
+    The passes U = 0, 1, 2, ... stop at the first that has a class for every
+    edge count; every e up to e_max <= ex(n, K_p) has one, so they end.
+    That pass holds every minimiser of every e, since each minimum is at
+    most U, so each row is the one an unpruned pass gives.
+    """
     _validate_instance(n, e_max, p)
     tracker = _Budget(budget)
-    reps, exact = _generate_classes(n, p, 0, e_max, tracker, threads)
-    by_edges: dict[int, dict[str, Graph]] = {}
-    for key, g in reps.items():
-        by_edges.setdefault(g.m, {})[key] = g
-    return {
-        e: _minimise(by_edges.get(e, {}), n, e, p, tracker.spent, exact)
-        for e in range(e_max + 1)
-    }
+    wanted = set(range(e_max + 1))
+    with _Levels(n, p, 0, e_max, tracker, threads) as levels:
+        for bound in range(n * (n - 1) // 2 + 1):
+            classes, exact = levels.classes(bound)
+            if not exact or {g.m for g, _ in classes.values()} >= wanted:
+                break
+    return {e: _minimise(classes, n, e, p, tracker.spent, exact) for e in range(e_max + 1)}
 
 
 def min_saturating_at_jump(

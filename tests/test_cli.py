@@ -345,6 +345,7 @@ def test_search_infeasible_edge_count_exits_2(capsys):
 
 
 def test_search_budget_exhaustion_exits_3(capsys):
+    # the search labels 13 candidates in all
     code, out, _ = run(capsys, ["search", "--n", "6", "--e", "9", "--p", "4", "--budget", "10"])
     assert code == 3
     assert json.loads(out)["exact"] is False

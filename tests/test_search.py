@@ -1,6 +1,10 @@
 import itertools
 import multiprocessing.pool
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from satedge.constructions import base_graph, blow_up, turan_graph, turan_number
 from satedge.formulas import CheckFailedError
-from satedge.graph import BlowupSpec, Graph, bits, build_graph, contains_clique, graph6_decode
+from satedge.graph import BlowupSpec, Graph, bits, build_graph, contains_clique, graph6_decode, mask_of
 from satedge.saturation import count_saturating
 from satedge.search import (
     InfeasibleError,
@@ -16,6 +20,7 @@ from satedge.search import (
     _deepening_search,
     _extend,
     _extend_batch,
+    _extensions,
     _generate_classes,
     _minimise,
     _refined_colors,
@@ -292,41 +297,53 @@ def test_zero_edge_graph():
 
 
 def test_budget_exhaustion_is_reported():
-    result = min_saturating(7, 13, 4, budget=40)
+    # the search labels 36 candidates in all
+    result = min_saturating(7, 13, 4, budget=30)
     assert not result.exact
 
 
 def test_thread_invariance(monkeypatch):
-    # a level of the n = 10 jump's last pass has more candidates than the pool's cut-off
+    # five level batches of the n = 11 jump have more candidates than the
+    # pool's cut-off, and one pool serves them all
     sent = []
+    pools = []
+    pool_init = multiprocessing.pool.Pool.__init__
     pool_imap = multiprocessing.pool.Pool.imap
+
+    def counting_init(self, *args, **kwargs):
+        pools.append(self)
+        pool_init(self, *args, **kwargs)
 
     def counting_imap(self, func, tasks, *args, **kwargs):
         if func is _extend_batch:
-            sent.extend(tasks)
+            sent.append(sum(len(nbhds) for _, nbhds in tasks))
         return pool_imap(self, func, tasks, *args, **kwargs)
 
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting_init)
     monkeypatch.setattr(multiprocessing.pool.Pool, "imap", counting_imap)
-    one = min_saturating_at_jump(10, 3, threads=1)
-    assert not sent
-    two = min_saturating_at_jump(10, 3, threads=2)
-    assert sum(len(nbhds) for _, nbhds in sent) > 256
+    one = min_saturating_at_jump(11, 3, threads=1)
+    assert not sent and not pools
+    two = min_saturating_at_jump(11, 3, threads=2)
+    assert len(sent) > 1 and min(sent) > 256
+    assert len(pools) == 1
     assert one.to_dict() == two.to_dict()
 
 
-# counted over all deepening passes, so n = 5 labels more than one unpruned pass
-@pytest.mark.parametrize("n,explored", [(5, 16), (6, 36), (7, 123), (8, 392)])
+# each candidate once over all deepening passes, one per orbit of twin swaps
+@pytest.mark.parametrize("n,explored", [(5, 6), (6, 13), (7, 36), (8, 136)])
 def test_jump_search_work_counter(n, explored):
     assert min_saturating_at_jump(n, 3).explored == explored
 
 
-# the witnesses the full-round backtracking labelling gave
+# the witnesses the full-round backtracking labelling gave; n = 12 is a
+# regression pin of the deepening search, which no unpruned run has checked
 @pytest.mark.parametrize(
     "n,minimum,witnesses",
     [
         (9, 3, ("H@QF~z{", "HxHYs}]")),
         (10, 5, ("IG?Wv~}~_", "IWA[r|}^_", "Io@zrq^fo", "Is_ZB|}^_", "IxGayy^fo")),
         (11, 6, ("J?CaF~}~f{?", "J]Kpe^Mr_^_", "J]TQd]mj_^_", "Jr?C[X~^r}?", "J}Kpa\\Mb{^?")),
+        (12, 7, ("K]?@xw{r}^X{", "K]?Ayx[j|^T{")),
     ],
 )
 def test_jump_minima_past_the_atlas(n, minimum, witnesses):
@@ -422,12 +439,16 @@ def test_constrained_excludes_the_balanced_graph(prism):
     assert canonical_key(turan_graph(6, 2)) not in result.witnesses
 
 
+def counted(reps, p):
+    return {key: (g, count_saturating(g, p).total) for key, g in reps.items()}
+
+
 def unpruned_search(n, e, p, excluded=None):
     """The one-pass search the deepening replaced: every class with e edges,
     no bound on the saturating count."""
     tracker = _Budget(10**9)
     reps, exact = _generate_classes(n, p, e, e, tracker, threads=1)
-    return _minimise(reps, n, e, p, tracker.spent, exact, excluded)
+    return _minimise(counted(reps, p), n, e, p, tracker.spent, exact, excluded)
 
 
 def seeded_search_cells(count, seed=11):
@@ -473,3 +494,99 @@ def test_deepening_budget_is_shared_across_passes():
     assert min_saturating_at_jump(8, 3, budget=spent).exact
     cut = min_saturating_at_jump(8, 3, budget=spent - 1)
     assert not cut.exact and cut.explored == spent - 1
+
+
+@pytest.mark.parametrize("n,p,e_max", [(7, 4, 12), (6, 4, 12), (7, 4, 16), (7, 3, 12), (8, 3, 12)])
+def test_table_deepening_matches_unpruned_pass(n, p, e_max):
+    tracker = _Budget(10**9)
+    reps, exact = _generate_classes(n, p, 0, e_max, tracker, threads=1)
+    assert exact
+    classes = counted(reps, p)
+    table = min_saturating_table(n, p, e_max)
+    assert sorted(table) == list(range(e_max + 1))
+    for e, row in table.items():
+        full = _minimise(classes, n, e, p, tracker.spent, exact)
+        assert row.exact and row.minimum is not None
+        assert (row.minimum, row.witnesses) == (full.minimum, full.witnesses)
+        assert row.explored <= full.explored
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_deepening_labels_each_candidate_once(n):
+    # the passes together expand the parents within the final bound, each
+    # once, which is what a fresh pass at that bound alone labels
+    result = min_saturating_at_jump(n, 3)
+    e = turan_number(n, 3) + 1
+    final = _Budget(10**9)
+    _generate_classes(n, 4, e, e, final, threads=1, bound=result.minimum)
+    assert result.explored == final.spent
+
+
+def naive_twin_classes(g):
+    """Vertex classes of u ~ v when N(u) - v == N(v) - u: false twins
+    (non-adjacent) and true twins (adjacent) alike."""
+    classes = []
+    for v in range(g.n):
+        for cls in classes:
+            u = cls[0]
+            if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+def filtered_extensions(g, p, m_lo, e_max):
+    """Every mask the min-degree, edge-window and clique filters keep."""
+    degrees = [a.bit_count() for a in g.adj]
+    delta = min(degrees)
+    low = sum(1 << v for v, d in enumerate(degrees) if d == delta)
+    kept = []
+    for s in range(1 << g.n):
+        d = s.bit_count()
+        if d > delta and (d > delta + 1 or s & low != low):
+            continue
+        if m_lo <= g.m + d <= e_max and g.clique_in(s, p - 1) is None:
+            kept.append(s)
+    return kept
+
+
+def test_extensions_take_the_lowest_twins_of_each_orbit():
+    twins = [seeded_planted_twin_graph(seed) for seed in range(40)]
+    graphs = twins + [complement(g) for g in twins] + [seeded_random_graph(seed) for seed in range(40)]
+    for i, g in enumerate(graphs):
+        classes = naive_twin_classes(g)
+        for p, m_lo, e_max in [(3, 0, g.m + g.n), (4, g.m + 1, g.m + 2), (5, g.m, g.m + 3)]:
+            every = filtered_extensions(g, p, m_lo, e_max)
+            lowest = [
+                s
+                for s in every
+                if all(s & mask_of(cls) == mask_of(cls[: (s & mask_of(cls)).bit_count()]) for cls in classes)
+            ]
+            kept = _extensions(g, p, m_lo, e_max)
+            assert kept == lowest, (g.adj, p, m_lo, e_max)
+            if i % 4 == 0:  # one kept set per orbit loses no child class
+                assert {canonical_key(_extend(g, s)) for s in kept} == {canonical_key(_extend(g, s)) for s in every}
+
+
+JUMP_TABLE = Path(__file__).resolve().parent.parent / "scripts" / "jump_table.py"
+
+
+def test_jump_table_script_rows():
+    src = str(JUMP_TABLE.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, str(JUMP_TABLE), "--n-min", "5", "--n-max", "8"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    header, *rows = [line.split() for line in run.stdout.splitlines()]
+    assert header == ["n", "e", "minimum", "explored", "exact"]
+    assert [(int(n), int(e), int(minimum), exact) for n, e, minimum, _, exact in rows] == [
+        (n, turan_number(n, 3) + 1, minimum, "True") for n, minimum in zip(range(5, 9), (1, 1, 2, 3))
+    ]
+    assert [int(row[3]) for row in rows] == [min_saturating_at_jump(n, 3).explored for n in range(5, 9)]
