@@ -25,14 +25,13 @@ def main(argv=None) -> int:
     ap.add_argument("--p", type=int, default=3, help="extremal parameter; hosts are K_{p+1}-free")
     ap.add_argument("--n-min", type=int, default=5)
     ap.add_argument("--n-max", type=int, default=8)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     ap.add_argument("--witnesses", action="store_true", help="also print the minimizing canonical classes")
     args = ap.parse_args(argv)
 
     print(f"{'n':>4} {'e':>6} {'minimum':>8} {'explored':>10} {'exact':>6}")
     for n in range(args.n_min, args.n_max + 1):
-        res = min_saturating_at_jump(n, args.p, budget=args.budget, threads=args.threads)
+        res = min_saturating_at_jump(n, args.p, budget=args.budget)
         e = turan_number(n, args.p) + 1
         print(f"{n:>4} {e:>6} {str(res.minimum):>8} {res.explored:>10} {str(res.exact):>6}")
         if args.witnesses:

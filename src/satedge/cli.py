@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .graph import (
@@ -60,7 +59,6 @@ class ConfigError(ValueError):
 class Config:
     search_budget: int = DEFAULT_SEARCH_BUDGET
     pack_budget: int = DEFAULT_PACKING_BUDGET
-    threads: int = 1
     vertex_cap: int = DEFAULT_VERTEX_CAP
     output_format: str = "json"
     emit_witnesses: bool = False
@@ -69,16 +67,14 @@ class Config:
 _CONFIG_PARSERS = {
     "search_budget": int,
     "pack_budget": int,
-    "threads": int,
     "vertex_cap": int,
     "output_format": str,
     "emit_witnesses": lambda s: s.lower() in ("1", "true", "yes"),
 }
 
 
-def load_config(path: Optional[str], env: Optional[dict] = None) -> Config:
-    """Key=value file plus the SATEDGE_THREADS environment fallback."""
-    env = os.environ if env is None else env
+def load_config(path: Optional[str]) -> Config:
+    """Key=value config file; no file gives the defaults."""
     values: dict = {}
     if path is not None:
         with open(path, encoding="utf-8") as handle:
@@ -97,15 +93,10 @@ def load_config(path: Optional[str], env: Optional[dict] = None) -> Config:
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     cfg = Config(**values)
-    if "threads" not in values and env.get("SATEDGE_THREADS"):
-        try:
-            cfg = replace(cfg, threads=int(env["SATEDGE_THREADS"]))
-        except ValueError as exc:
-            raise ConfigError(f"SATEDGE_THREADS: {exc}") from exc
     if cfg.output_format not in ("json", "csv"):
         raise ConfigError(f"output_format must be json or csv, not {cfg.output_format!r}")
-    if cfg.threads < 1 or cfg.search_budget < 1 or cfg.pack_budget < 1 or cfg.vertex_cap < 1:
-        raise ConfigError("budgets, threads, and vertex_cap must be positive")
+    if cfg.search_budget < 1 or cfg.pack_budget < 1 or cfg.vertex_cap < 1:
+        raise ConfigError("budgets and vertex_cap must be positive")
     return cfg
 
 
@@ -173,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--at-jump", action="store_true", help="e = extremal count + 1, forbidding K_{p+1}")
     s.add_argument("--constrained", action="store_true", help="extremal count, balanced multipartite excluded")
     s.add_argument("--budget", type=int)
-    s.add_argument("--threads", type=int)
     s.add_argument("--emit-witnesses", action="store_true")
 
     f = sub.add_parser("formulas", help="closed-form tables")
@@ -189,13 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads(args, cfg: Config) -> int:
-    flag = args.threads
-    if flag is not None:
-        if flag < 1:
-            raise ConfigError("threads must be positive")
-        return flag
-    return cfg.threads
+def _positive(flag: Optional[int], name: str, default: int) -> int:
+    """A command-line flag's value, which must be positive like a config
+    value, or `default` when the flag is absent."""
+    if flag is None:
+        return default
+    if flag < 1:
+        raise ConfigError(f"{name} must be positive")
+    return flag
 
 
 def _cmd_construct(args, cfg: Config) -> int:
@@ -237,15 +228,16 @@ def _cmd_construct(args, cfg: Config) -> int:
 
 
 def _cmd_count(args, cfg: Config) -> int:
+    threads = _positive(args.threads, "--threads", 1)
     g = _read_graph(args.infile, cfg.vertex_cap)
-    report = count_saturating(g, args.p, edges=args.edges, threads=_threads(args, cfg))
+    report = count_saturating(g, args.p, edges=args.edges, threads=threads)
     print(report.to_json())
     return 0
 
 
 def _cmd_pack(args, cfg: Config) -> int:
+    budget = _positive(args.budget, "--budget", cfg.pack_budget)
     g = _read_graph(args.infile, cfg.vertex_cap)
-    budget = args.budget if args.budget is not None else cfg.pack_budget
     packing = max_packing(g, args.p, budget=budget)
     if args.refine:
         packing = refine_packing(packing)
@@ -270,18 +262,19 @@ def _cmd_pack(args, cfg: Config) -> int:
 
 
 def _cmd_search(args, cfg: Config) -> int:
-    budget = args.budget if args.budget is not None else cfg.search_budget
-    threads = _threads(args, cfg)
+    budget = _positive(args.budget, "--budget", cfg.search_budget)
     if args.at_jump and args.constrained:
         raise ConfigError("--at-jump and --constrained are mutually exclusive")
+    if args.e is not None and (args.at_jump or args.constrained):
+        raise ConfigError("--e cannot be combined with --at-jump or --constrained, which fix e")
     if args.at_jump:
-        result = min_saturating_at_jump(args.n, args.p, budget=budget, threads=threads)
+        result = min_saturating_at_jump(args.n, args.p, budget=budget)
     elif args.constrained:
-        result = min_saturating_constrained(args.n, args.p, budget=budget, threads=threads)
+        result = min_saturating_constrained(args.n, args.p, budget=budget)
     else:
         if args.e is None:
             raise ConfigError("search needs --e (or --at-jump / --constrained)")
-        result = min_saturating(args.n, args.e, args.p, budget=budget, threads=threads)
+        result = min_saturating(args.n, args.e, args.p, budget=budget)
     payload = result.to_dict()
     if not (args.emit_witnesses or cfg.emit_witnesses):
         payload["witnesses"] = []

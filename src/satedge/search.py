@@ -49,7 +49,7 @@ involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .graph import Graph, bits, graph6_encode
 from .constructions import turan_graph, turan_number
@@ -224,13 +224,6 @@ def _extend(g: Graph, nbhd: int) -> Graph:
     return Graph(n + 1, tuple(adj))
 
 
-def _extend_batch(task: tuple[Graph, list[int]]) -> list[tuple[str, Graph]]:
-    """(canonical key, canonical graph) of each extension of g by a mask."""
-    g, nbhds = task
-    graphs = [canonical_graph(_extend(g, s)) for s in nbhds]
-    return [(graph6_encode(cg), cg) for cg in graphs]
-
-
 def _extensions(g: Graph, p: int, m_lo: int, e_max: int) -> list[int]:
     """The masks s, in increasing order, that join a new vertex to g as a
     candidate child: the new vertex has minimum degree in g + s, the child
@@ -291,39 +284,16 @@ class _Levels:
     when the pass has no bound; expanded[k] holds the keys whose children
     are in levels[k + 1].  A pass expands only the parents within its bound
     that no earlier pass expanded, so each candidate is labelled once per
-    search.  Use it as a context manager: a process pool, started at the
-    first batch of more than 256 candidates when threads > 1, serves every
-    later level and pass and is closed on exit.
+    search.
     """
 
-    def __init__(self, n: int, p: int, e_min: int, e_max: int, budget: _Budget, threads: int):
+    def __init__(self, n: int, p: int, e_min: int, e_max: int, budget: _Budget):
         self.n, self.p, self.e_min, self.e_max = n, p, e_min, e_max
         self.budget = budget
-        self.threads = threads
-        self.pool = None
         single = Graph(1, (0,))
         self.levels: list[dict[str, tuple[Graph, Optional[int]]]] = [{graph6_encode(single): (single, 0)}]
         self.levels += [{} for _ in range(n - 1)]
         self.expanded: list[set[str]] = [set() for _ in range(n)]
-
-    def __enter__(self) -> "_Levels":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.pool is not None:
-            self.pool.terminate()
-            self.pool.join()
-
-    def _label(self, tasks: list[tuple[Graph, list[int]]], total: int) -> Iterable[list[tuple[str, Graph]]]:
-        """The labelled batches of one level, consumed as they come, so the
-        candidates' canonical graphs are never all held at once."""
-        if self.threads > 1 and total > 256:
-            if self.pool is None:
-                import multiprocessing  # loaded only where a pool starts
-
-                self.pool = multiprocessing.get_context().Pool(processes=self.threads)
-            return self.pool.imap(_extend_batch, tasks)
-        return map(_extend_batch, tasks)
 
     def classes(self, bound: Optional[int] = None) -> tuple[dict[str, tuple[Graph, Optional[int]]], bool]:
         """One pass: the classes on n vertices with at most `bound` saturating
@@ -339,9 +309,7 @@ class _Levels:
         for k in range(1, n):
             # ceil(e_min * C(k+1, 2) / C(n, 2)); at least e_min - C(n, 2) + C(k+1, 2)
             m_lo = -(-self.e_min * (k + 1) * k // (n * (n - 1)))
-            parents, done = self.levels[k - 1], self.expanded[k - 1]
-            tasks: list[tuple[Graph, list[int]]] = []
-            total = 0
+            parents, done, children = self.levels[k - 1], self.expanded[k - 1], self.levels[k]
             exact = True
             for key in sorted(parents):
                 g, count = parents[key]
@@ -353,16 +321,13 @@ class _Levels:
                 if granted < len(nbhds):
                     exact = False
                     nbhds = nbhds[:granted]
-                total += len(nbhds)
-                if nbhds:
-                    tasks.append((g, nbhds))
+                for s in nbhds:
+                    cg = canonical_graph(_extend(g, s))
+                    child = graph6_encode(cg)
+                    if child not in children:
+                        children[child] = (cg, None if bound is None else count_saturating(cg, p).total)
                 if not exact:
                     break
-            children = self.levels[k]
-            for batch in self._label(tasks, total):
-                for key, cg in batch:
-                    if key not in children:
-                        children[key] = (cg, None if bound is None else count_saturating(cg, p).total)
             if not exact:
                 # a cut level cannot vouch for completeness of later ones
                 return (self._within(k, bound) if k == n - 1 else {}), False
@@ -379,7 +344,6 @@ def _generate_classes(
     e_min: int,
     e_max: int,
     budget: _Budget,
-    threads: int,
     bound: Optional[int] = None,
 ) -> tuple[dict[str, Graph], bool]:
     """Isomorphism classes of K_p-free graphs on n vertices whose edge count
@@ -401,8 +365,7 @@ def _generate_classes(
     deletion ancestors and is still generated; classes above it are not.
     Without one, no class is counted.
     """
-    with _Levels(n, p, e_min, e_max, budget, threads) as levels:
-        classes, exact = levels.classes(bound)
+    classes, exact = _Levels(n, p, e_min, e_max, budget).classes(bound)
     return {key: g for key, (g, _) in classes.items()}, exact
 
 
@@ -485,9 +448,7 @@ def _minimise(
     )
 
 
-def _deepening_search(
-    n: int, e: int, p: int, budget: int, threads: int, excluded: Optional[str] = None
-) -> SearchResult:
+def _deepening_search(n: int, e: int, p: int, budget: int, excluded: Optional[str] = None) -> SearchResult:
     """_minimise over the e-edge classes, generated in passes U = 0, 1, 2, ...
     that keep only classes with at most U saturating edges.
 
@@ -499,22 +460,16 @@ def _deepening_search(
     pass's partial result with exact=False.
     """
     tracker = _Budget(budget)
-    with _Levels(n, p, e, e, tracker, threads) as levels:
-        for bound in range(n * (n - 1) // 2 - e + 1):
-            classes, exact = levels.classes(bound)
-            result = _minimise(classes, n, e, p, tracker.spent, exact, excluded)
-            if result.minimum is not None or not exact:
-                break
+    levels = _Levels(n, p, e, e, tracker)
+    for bound in range(n * (n - 1) // 2 - e + 1):
+        classes, exact = levels.classes(bound)
+        result = _minimise(classes, n, e, p, tracker.spent, exact, excluded)
+        if result.minimum is not None or not exact:
+            break
     return result
 
 
-def min_saturating(
-    n: int,
-    e: int,
-    p: int,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-    threads: int = 1,
-) -> SearchResult:
+def min_saturating(n: int, e: int, p: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
     """Minimum saturating count over K_p-free n-vertex graphs with e edges.
 
     Exhaustive and exact up to the node budget; on exhaustion the partial
@@ -526,16 +481,10 @@ def min_saturating(
     each candidate is labelled once.
     """
     _validate_instance(n, e, p)
-    return _deepening_search(n, e, p, budget, threads)
+    return _deepening_search(n, e, p, budget)
 
 
-def min_saturating_table(
-    n: int,
-    p: int,
-    e_max: int,
-    budget: int = DEFAULT_SEARCH_BUDGET,
-    threads: int = 1,
-) -> dict[int, SearchResult]:
+def min_saturating_table(n: int, p: int, e_max: int, budget: int = DEFAULT_SEARCH_BUDGET) -> dict[int, SearchResult]:
     """min_saturating for every edge count 0..e_max from one deepening over
     the edge window [0, e_max].
 
@@ -547,32 +496,28 @@ def min_saturating_table(
     _validate_instance(n, e_max, p)
     tracker = _Budget(budget)
     wanted = set(range(e_max + 1))
-    with _Levels(n, p, 0, e_max, tracker, threads) as levels:
-        for bound in range(n * (n - 1) // 2 + 1):
-            classes, exact = levels.classes(bound)
-            if not exact or {g.m for g, _ in classes.values()} >= wanted:
-                break
+    levels = _Levels(n, p, 0, e_max, tracker)
+    for bound in range(n * (n - 1) // 2 + 1):
+        classes, exact = levels.classes(bound)
+        if not exact or {g.m for g, _ in classes.values()} >= wanted:
+            break
     return {e: _minimise(classes, n, e, p, tracker.spent, exact) for e in range(e_max + 1)}
 
 
-def min_saturating_at_jump(
-    n: int, p: int, budget: int = DEFAULT_SEARCH_BUDGET, threads: int = 1
-) -> SearchResult:
+def min_saturating_at_jump(n: int, p: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
     """Minimum count one edge past the extremal K_p-free edge count.
 
     Hosts are K_{p+1}-free with turan_number(n,p)+1 edges; the quantity
     whose jump this measures.
     """
-    return min_saturating(n, turan_number(n, p) + 1, p + 1, budget, threads)
+    return min_saturating(n, turan_number(n, p) + 1, p + 1, budget)
 
 
-def min_saturating_constrained(
-    n: int, p: int, budget: int = DEFAULT_SEARCH_BUDGET, threads: int = 1
-) -> SearchResult:
+def min_saturating_constrained(n: int, p: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
     """Minimum over K_{p+1}-free graphs with exactly the extremal K_p-free
     edge count, excluding the balanced complete (p-1)-partite graph itself
     (by canonical form, so relabelings are excluded too)."""
     e = turan_number(n, p)
     _validate_instance(n, e, p + 1)
     excluded = canonical_key(turan_graph(n, p - 1))
-    return _deepening_search(n, e, p + 1, budget, threads, excluded)
+    return _deepening_search(n, e, p + 1, budget, excluded)

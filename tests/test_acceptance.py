@@ -150,13 +150,12 @@ def test_criterion_6_switch_inequality_on_certified_packings():
 def test_criterion_7_jump_tables_with_frozen_fixtures():
     started = time.monotonic()
     for n in range(5, 9):
-        threads = 8 if n == 8 else 1
         flat = n * n // 4
         for e in range(flat + 1):
-            res = min_saturating(n, e, 4, threads=threads)
+            res = min_saturating(n, e, 4)
             assert res.exact
             assert res.minimum == 0, (n, e, res.minimum)
-        jump = min_saturating(n, flat + 1, 4, threads=threads)
+        jump = min_saturating(n, flat + 1, 4)
         assert jump.exact
         assert jump.minimum == JUMP_MINIMA[n] > 0
         assert tuple(jump.witnesses) == JUMP_WITNESSES[n]

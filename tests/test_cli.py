@@ -32,35 +32,32 @@ def write_graph(tmp_path, g, name="g.g6"):
 
 
 def test_load_config_defaults():
-    cfg = load_config(None, env={})
+    cfg = load_config(None)
     assert cfg == Config()
 
 
 def test_load_config_file_and_comments(tmp_path):
     path = tmp_path / "satedge.cfg"
-    path.write_text("# comment\nthreads = 3\nemit_witnesses = true\n\noutput_format=csv # trailing\n")
-    cfg = load_config(str(path), env={})
-    assert cfg.threads == 3
+    path.write_text("# comment\nsearch_budget = 3\nemit_witnesses = true\n\noutput_format=csv # trailing\n")
+    cfg = load_config(str(path))
+    assert cfg.search_budget == 3
     assert cfg.emit_witnesses is True
     assert cfg.output_format == "csv"
-
-
-def test_load_config_env_fallback_and_precedence(tmp_path):
-    assert load_config(None, env={"SATEDGE_THREADS": "2"}).threads == 2
-    path = tmp_path / "satedge.cfg"
-    path.write_text("threads=5\n")
-    assert load_config(str(path), env={"SATEDGE_THREADS": "2"}).threads == 5
-    with pytest.raises(ConfigError):
-        load_config(None, env={"SATEDGE_THREADS": "banana"})
 
 
 @pytest.mark.parametrize(
     "text",
     [
         "mystery_key=1\n",
+        "search_budget\n",
+        "search_budget=zero\n",
+        "search_budget=0\n",
+        "vertex_cap=-1\n",
+        # threads is no config key, whatever its value
         "threads\n",
         "threads=zero\n",
         "threads=0\n",
+        "threads=2\n",
         "output_format=yaml\n",
         "output_format=text\n",
     ],
@@ -69,7 +66,7 @@ def test_load_config_rejects_bad_files(tmp_path, text):
     path = tmp_path / "satedge.cfg"
     path.write_text(text)
     with pytest.raises(ConfigError):
-        load_config(str(path), env={})
+        load_config(str(path))
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):
@@ -78,13 +75,6 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, ["--config", str(path), "formulas", "table", "--p-max", "3"])
     assert code == 2
     assert "mystery_key" in err
-
-
-def test_cli_bad_env_threads_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("SATEDGE_THREADS", "banana")
-    code, _, err = run(capsys, ["formulas", "table", "--p-max", "3"])
-    assert code == 2
-    assert "SATEDGE_THREADS" in err
 
 
 # -- construct ----------------------------------------------------------
@@ -201,14 +191,6 @@ def test_count_reads_stdin(capsys, monkeypatch, k33):
     assert len(payload["edges"]) == 6
 
 
-def test_count_respects_env_thread_count(capsys, monkeypatch, tmp_path, h1_310):
-    monkeypatch.setenv("SATEDGE_THREADS", "2")
-    path = write_graph(tmp_path, h1_310.graph)
-    code, out, _ = run(capsys, ["count", "--p", "4", "--in", path])
-    assert code == 0
-    assert json.loads(out)["total"] == 246
-
-
 def test_count_clique_present_exits_1(capsys, tmp_path, triangle):
     path = write_graph(tmp_path, triangle)
     code, _, err = run(capsys, ["count", "--p", "3", "--in", path])
@@ -274,7 +256,13 @@ def test_pack_analyze_out_of_range_exits_2(capsys, tmp_path, prism):
 
 
 @pytest.mark.parametrize(
-    "argv", [["pack", "--p", "3", "--threads", "2"], ["verify", "--threads", "2"]], ids=["pack", "verify"]
+    "argv",
+    [
+        ["pack", "--p", "3", "--threads", "2"],
+        ["verify", "--threads", "2"],
+        ["search", "--n", "5", "--p", "3", "--at-jump", "--threads", "2"],
+    ],
+    ids=["pack", "verify", "search"],
 )
 def test_threads_flag_is_unknown_where_unused(argv):
     with pytest.raises(SystemExit) as exc:
@@ -336,6 +324,29 @@ def test_search_constrained(capsys, prism):
 def test_search_mode_conflicts_exit_2(capsys):
     assert run(capsys, ["search", "--n", "6", "--p", "3", "--at-jump", "--constrained"])[0] == 2
     assert run(capsys, ["search", "--n", "6", "--p", "3"])[0] == 2
+
+
+@pytest.mark.parametrize("mode", ["--at-jump", "--constrained"])
+def test_search_e_with_fixed_edge_mode_exits_2(capsys, mode):
+    # both modes fix e themselves, so a given --e would be ignored
+    code, out, err = run(capsys, ["search", "--n", "5", "--p", "3", "--e", "3", mode])
+    assert code == 2
+    assert out == ""
+    assert "--e" in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["search", "--n", "6", "--p", "3", "--at-jump"], ["pack", "--p", "3"]],
+    ids=["search", "pack"],
+)
+def test_nonpositive_budget_flag_exits_2(capsys, monkeypatch, argv, budget):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+    code, out, err = run(capsys, argv + ["--budget", budget])
+    assert code == 2
+    assert out == ""
+    assert "--budget must be positive" in err
 
 
 def test_search_infeasible_edge_count_exits_2(capsys):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +185,24 @@ def test_blowup_spec_validation():
     # zero-size parts are legal: the part simply vanishes
     g, parts = blow_up(BlowupSpec(base=base_graph(3), sizes=(0, 1, 1, 1, 1)))
     assert g.n == 4 and parts[0] == 0
+
+
+CENSUS_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "construction_census.py"
+
+
+def test_construction_census_script_rows():
+    src = str(CENSUS_SCRIPT.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, str(CENSUS_SCRIPT), "--p-values", "3,4", "--x-values", "1", "--y-values", "0,1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    header, *rows = [line.split() for line in run.stdout.splitlines()]
+    assert header == ["p", "x", "y", "n", "m", "closed", "brute", "pack", "ell1", "ell2"]
+    assert [tuple(map(int, row[:3])) for row in rows] == [(3, 1, 0), (3, 1, 1), (4, 1, 0), (4, 1, 1)]
+    assert all(row[5] == row[6] for row in rows)
+    assert rows[0][3:] == "66 1089 246 246 4 114 132".split()

@@ -1,5 +1,4 @@
 import itertools
-import multiprocessing.pool
 import os
 import random
 import subprocess
@@ -19,7 +18,6 @@ from satedge.search import (
     _Budget,
     _deepening_search,
     _extend,
-    _extend_batch,
     _extensions,
     _generate_classes,
     _minimise,
@@ -226,7 +224,7 @@ def nx_clique_free(nxg, p):
 @pytest.mark.parametrize("n,p", [(5, 3), (6, 3), (6, 4), (7, 4)])
 def test_generation_matches_atlas_class_counts(n, p):
     e_max = turan_number(n, p)
-    reps, exact = _generate_classes(n, p, 0, e_max, _Budget(10**9), threads=1)
+    reps, exact = _generate_classes(n, p, 0, e_max, _Budget(10**9))
     assert exact
     mine = {}
     for g in reps.values():
@@ -302,31 +300,16 @@ def test_budget_exhaustion_is_reported():
     assert not result.exact
 
 
-def test_thread_invariance(monkeypatch):
-    # five level batches of the n = 11 jump have more candidates than the
-    # pool's cut-off, and one pool serves them all
-    sent = []
-    pools = []
-    pool_init = multiprocessing.pool.Pool.__init__
-    pool_imap = multiprocessing.pool.Pool.imap
-
-    def counting_init(self, *args, **kwargs):
-        pools.append(self)
-        pool_init(self, *args, **kwargs)
-
-    def counting_imap(self, func, tasks, *args, **kwargs):
-        if func is _extend_batch:
-            sent.append(sum(len(nbhds) for _, nbhds in tasks))
-        return pool_imap(self, func, tasks, *args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting_init)
-    monkeypatch.setattr(multiprocessing.pool.Pool, "imap", counting_imap)
-    one = min_saturating_at_jump(11, 3, threads=1)
-    assert not sent and not pools
-    two = min_saturating_at_jump(11, 3, threads=2)
-    assert len(sent) > 1 and min(sent) > 256
-    assert len(pools) == 1
-    assert one.to_dict() == two.to_dict()
+def test_searches_take_no_thread_count():
+    # the search has one serial path, and a thread count is no accepted no-op
+    for search in (
+        lambda: min_saturating(5, 7, 4, threads=1),
+        lambda: min_saturating_table(5, 3, 4, threads=1),
+        lambda: min_saturating_at_jump(5, 3, threads=1),
+        lambda: min_saturating_constrained(6, 3, threads=1),
+    ):
+        with pytest.raises(TypeError):
+            search()
 
 
 # each candidate once over all deepening passes, one per orbit of twin swaps
@@ -393,7 +376,7 @@ def old_class_keys(n, p, e_min, e_max):
 
 
 def new_class_keys(n, p, e_min, e_max):
-    reps, exact = _generate_classes(n, p, e_min, e_max, _Budget(10**9), threads=1)
+    reps, exact = _generate_classes(n, p, e_min, e_max, _Budget(10**9))
     assert exact
     assert all(canonical_key(g) == key for key, g in reps.items())
     return set(reps)
@@ -413,7 +396,7 @@ def test_triangle_free_class_counts_match_oeis():
     # OEIS A006785: triangle-free graphs on n unlabeled nodes
     counts = [1, 2, 3, 7, 14, 38, 107, 410, 1897, 12172]
     for n, expected in enumerate(counts, start=1):
-        reps, exact = _generate_classes(n, 3, 0, turan_number(n, 3), _Budget(10**9), threads=1)
+        reps, exact = _generate_classes(n, 3, 0, turan_number(n, 3), _Budget(10**9))
         assert exact and len(reps) == expected
 
 
@@ -447,7 +430,7 @@ def unpruned_search(n, e, p, excluded=None):
     """The one-pass search the deepening replaced: every class with e edges,
     no bound on the saturating count."""
     tracker = _Budget(10**9)
-    reps, exact = _generate_classes(n, p, e, e, tracker, threads=1)
+    reps, exact = _generate_classes(n, p, e, e, tracker)
     return _minimise(counted(reps, p), n, e, p, tracker.spent, exact, excluded)
 
 
@@ -469,7 +452,7 @@ def seeded_search_cells(count, seed=11):
     + seeded_search_cells(10),
 )
 def test_deepening_matches_unpruned_search(n, e, p, excluded):
-    pruned = _deepening_search(n, e, p, 10**9, 1, excluded)
+    pruned = _deepening_search(n, e, p, 10**9, excluded)
     full = unpruned_search(n, e, p, excluded)
     assert pruned.exact and full.exact
     assert pruned.minimum is not None
@@ -480,11 +463,11 @@ def test_deepening_matches_unpruned_search(n, e, p, excluded):
 def test_count_bound_keeps_exactly_the_classes_within_it(n, p, e_min, e_max):
     # heredity: a class within the bound keeps every min-degree deletion
     # ancestor, so the pruned generator loses none of them
-    full, exact = _generate_classes(n, p, e_min, e_max, _Budget(10**9), threads=1)
+    full, exact = _generate_classes(n, p, e_min, e_max, _Budget(10**9))
     assert exact
     counts = {key: count_saturating(g, p).total for key, g in full.items()}
     for bound in range(max(counts.values()) + 1):
-        pruned, exact = _generate_classes(n, p, e_min, e_max, _Budget(10**9), threads=1, bound=bound)
+        pruned, exact = _generate_classes(n, p, e_min, e_max, _Budget(10**9), bound=bound)
         assert exact
         assert set(pruned) == {key for key, c in counts.items() if c <= bound}
 
@@ -499,7 +482,7 @@ def test_deepening_budget_is_shared_across_passes():
 @pytest.mark.parametrize("n,p,e_max", [(7, 4, 12), (6, 4, 12), (7, 4, 16), (7, 3, 12), (8, 3, 12)])
 def test_table_deepening_matches_unpruned_pass(n, p, e_max):
     tracker = _Budget(10**9)
-    reps, exact = _generate_classes(n, p, 0, e_max, tracker, threads=1)
+    reps, exact = _generate_classes(n, p, 0, e_max, tracker)
     assert exact
     classes = counted(reps, p)
     table = min_saturating_table(n, p, e_max)
@@ -518,7 +501,7 @@ def test_deepening_labels_each_candidate_once(n):
     result = min_saturating_at_jump(n, 3)
     e = turan_number(n, 3) + 1
     final = _Budget(10**9)
-    _generate_classes(n, 4, e, e, final, threads=1, bound=result.minimum)
+    _generate_classes(n, 4, e, e, final, bound=result.minimum)
     assert result.explored == final.spent
 
 
