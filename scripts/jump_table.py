@@ -28,6 +28,8 @@ def main(argv=None) -> int:
     ap.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     ap.add_argument("--witnesses", action="store_true", help="also print the minimizing canonical classes")
     args = ap.parse_args(argv)
+    if args.budget < 1:
+        ap.error("--budget must be positive")
 
     print(f"{'n':>4} {'e':>6} {'minimum':>8} {'explored':>10} {'exact':>6}")
     for n in range(args.n_min, args.n_max + 1):

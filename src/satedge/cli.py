@@ -173,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--p-max", type=int, required=True)
 
     v = sub.add_parser("verify", help="run the verification harness")
-    v.add_argument("--small", action="store_true", help="desk-scale default suite (the only scope)")
     v.add_argument("--seed", type=int, default=7)
     v.add_argument("--format", choices=["json", "csv"], help="report format (default from config)")
     return parser

@@ -5,11 +5,15 @@ iff vertex v is in the set); adjacency is one mask per vertex.  Python ints
 are arbitrary precision, so masks need no fixed word layout; a configurable
 vertex cap guards against accidental huge allocations.
 
+Every clique search is one ordered enumerator, `enumerate_cliques`, which
+lists the cliques inside a mask in lexicographic order.
+
 A `BlowupSpec` (a base graph plus one part size per base vertex) is both a
 blow-up and the one quotient type: `Graph.quotient()` has one base vertex per
 class of false twins (identical neighborhoods).  A clique uses at most one
-vertex of a class, so the clique probe searches one representative per
-class, and the saturating count runs on the quotient's base.
+vertex of a class, so the clique probe `Graph.clique_in` is the enumerator's
+first clique on one representative per class, and the saturating count runs
+on the quotient's base.
 """
 
 from __future__ import annotations
@@ -100,30 +104,9 @@ class Graph:
         return Graph(self.n, tuple(adj))
 
     def clique_in(self, mask: VertexSet, k: int) -> Optional[tuple[int, ...]]:
-        """Some k-clique inside `mask`, or None.  Searches twin representatives."""
-        if k <= 0:
-            return ()
-        adj = self.adj
-        out: list[int] = []
-
-        def rec(cand: int, need: int) -> bool:
-            if need == 0:
-                return True
-            while cand:
-                if cand.bit_count() < need:
-                    return False
-                low = cand & -cand
-                v = low.bit_length() - 1
-                out.append(v)
-                if rec(cand & adj[v], need - 1):
-                    return True
-                out.pop()
-                cand ^= low
-            return False
-
-        if rec(self.twin_representatives(mask), k):
-            return tuple(out)
-        return None
+        """The first k-clique inside `mask` that enumerate_cliques lists on
+        the mask's twin representatives, or None."""
+        return next(enumerate_cliques(self, k, self.twin_representatives(mask)), None)
 
     def twin_classes(self) -> tuple[VertexSet, ...]:
         """Masks of false-twin classes (identical neighborhoods), cached.
@@ -270,8 +253,6 @@ def induced_edges(g: Graph, mask: VertexSet) -> int:
 
 def find_clique(g: Graph, p: int) -> Optional[tuple[int, ...]]:
     """A witness p-clique of g, or None."""
-    if p < 1:
-        raise ValueError("clique size must be >= 1")
     return g.clique_in(g.vertices_mask(), p)
 
 
@@ -284,26 +265,32 @@ def enumerate_cliques(g: Graph, p: int, mask: Optional[VertexSet] = None) -> Ite
     in lexicographic order.
 
     Ordered expansion over increasing vertex labels with a population-count
-    prune; no twin collapsing here since every clique must be emitted.
+    prune, on an explicit stack; no twin collapsing here since every clique
+    must be emitted (`Graph.clique_in` takes the first one on twin
+    representatives).
     """
     if p < 1:
         raise ValueError("clique size must be >= 1")
     adj = g.adj
-
-    def rec(prefix: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
-        need = p - len(prefix)
-        if need == 0:
-            yield prefix
-            return
-        while cand:
-            if cand.bit_count() < need:
-                return
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            yield from rec(prefix + (v,), cand & adj[v])
-
-    yield from rec((), g.vertices_mask() if mask is None else mask)
+    out = [0] * p  # out[:depth + 1]: the clique being extended
+    stack = [0] * p  # stack[i]: the candidates left for out[i]
+    stack[0] = g.vertices_mask() if mask is None else mask
+    depth = 0
+    while depth >= 0:
+        cand = stack[depth]
+        if cand.bit_count() < p - depth:
+            depth -= 1
+            continue
+        low = cand & -cand
+        cand ^= low
+        stack[depth] = cand
+        v = low.bit_length() - 1
+        out[depth] = v
+        if depth == p - 1:
+            yield tuple(out)
+        else:
+            depth += 1
+            stack[depth] = cand & adj[v]
 
 
 # graph6 interchange format (canonical ASCII encoding of simple graphs).

@@ -15,11 +15,12 @@ H, and (H - w) + uv lies inside H + uv.  So "at most U saturating edges"
 is hereditary, and generation by canonical deletion may drop every class
 above U at every level without losing a class within it (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  The
-bound deepens U = 0, 1, 2, ...; the first pass that reaches an e-edge
-class has the exact minimum and all its witnesses, and the table stops at
-the first pass that reaches every edge count.  The passes of one search
-share their levels: a pass labels only the children of parents no
-earlier pass expanded, so each candidate is labelled once per search.
+bound deepens U = 0, 1, 2, ... in one loop for the single searches and
+the table alike: it stops at the first pass that reaches every edge count
+of its window, and that pass has the exact minimum of each and all its
+witnesses.  The passes of one search share their levels: a pass labels
+only the children of parents no earlier pass expanded, so each candidate
+is labelled once per search.
 The jump search then runs to n = 12 at p = 3 in under two seconds.
 
 Canonical form: vertices are first partitioned by iterated degree
@@ -280,25 +281,32 @@ class _Levels:
     deepening count bound to the next.
 
     levels[k] maps the canonical key of each class on k + 1 vertices
-    labelled so far to (canonical graph, saturating count), the count None
-    when the pass has no bound; expanded[k] holds the keys whose children
-    are in levels[k + 1].  A pass expands only the parents within its bound
-    that no earlier pass expanded, so each candidate is labelled once per
-    search.
+    labelled so far to (canonical graph, saturating count); expanded[k]
+    holds the keys whose children are in levels[k + 1].  A pass expands
+    only the parents within its bound that no earlier pass expanded, so
+    each candidate is labelled once per search.
+
+    A child (a class plus a vertex joined to a subset s) is kept only if
+    the new vertex has minimum degree in it: every class H is the
+    representative of H - w extended by N(w), w of minimum degree.  That
+    deletion never lowers the edge density m / C(k, 2), so a child on k + 1
+    vertices needs e_min * C(k + 1, 2) / C(n, 2) to e_max edges.  K_p-free
+    children that pass, one per orbit of the parent's twin swaps, are the
+    candidates (one unit of budget each), deduplicated by canonical key.
     """
 
     def __init__(self, n: int, p: int, e_min: int, e_max: int, budget: _Budget):
         self.n, self.p, self.e_min, self.e_max = n, p, e_min, e_max
         self.budget = budget
         single = Graph(1, (0,))
-        self.levels: list[dict[str, tuple[Graph, Optional[int]]]] = [{graph6_encode(single): (single, 0)}]
+        self.levels: list[dict[str, tuple[Graph, int]]] = [{graph6_encode(single): (single, 0)}]
         self.levels += [{} for _ in range(n - 1)]
         self.expanded: list[set[str]] = [set() for _ in range(n)]
 
-    def classes(self, bound: Optional[int] = None) -> tuple[dict[str, tuple[Graph, Optional[int]]], bool]:
+    def classes(self, bound: int) -> tuple[dict[str, tuple[Graph, int]], bool]:
         """One pass: the classes on n vertices with at most `bound` saturating
-        edges (all of them without a bound), as key -> (graph, count) in key
-        order; exact is False on budget exhaustion.
+        edges, as key -> (graph, count) in key order; exact is False on
+        budget exhaustion.
 
         Count is hereditary and the edge window reads only the class, so
         the classes on k vertices within a bound are the same whatever
@@ -313,7 +321,7 @@ class _Levels:
             exact = True
             for key in sorted(parents):
                 g, count = parents[key]
-                if key in done or (bound is not None and count > bound):
+                if key in done or count > bound:
                     continue
                 done.add(key)
                 nbhds = _extensions(g, p, m_lo, self.e_max)
@@ -325,7 +333,7 @@ class _Levels:
                     cg = canonical_graph(_extend(g, s))
                     child = graph6_encode(cg)
                     if child not in children:
-                        children[child] = (cg, None if bound is None else count_saturating(cg, p).total)
+                        children[child] = (cg, count_saturating(cg, p).total)
                 if not exact:
                     break
             if not exact:
@@ -333,40 +341,9 @@ class _Levels:
                 return (self._within(k, bound) if k == n - 1 else {}), False
         return self._within(n - 1, bound), True
 
-    def _within(self, k: int, bound: Optional[int]) -> dict[str, tuple[Graph, Optional[int]]]:
+    def _within(self, k: int, bound: int) -> dict[str, tuple[Graph, int]]:
         level = self.levels[k]
-        return {key: level[key] for key in sorted(level) if bound is None or level[key][1] <= bound}
-
-
-def _generate_classes(
-    n: int,
-    p: int,
-    e_min: int,
-    e_max: int,
-    budget: _Budget,
-    bound: Optional[int] = None,
-) -> tuple[dict[str, Graph], bool]:
-    """Isomorphism classes of K_p-free graphs on n vertices whose edge count
-    can land in [e_min, e_max], as canonical key -> canonical graph in key
-    order; exact flag is False on budget exhaustion.
-
-    Level k holds one canonical representative per class on k vertices.
-    A child (a representative plus a vertex joined to a subset s) is kept
-    only if the new vertex has minimum degree in it: every class H is the
-    representative of H - w extended by N(w), w of minimum degree.  That
-    deletion never lowers the edge density m / C(k, 2), so a child on k + 1
-    vertices needs e_min * C(k + 1, 2) / C(n, 2) to e_max edges.  K_p-free
-    children that pass, one per orbit of the parent's twin swaps, are the
-    candidates (one unit of budget each), deduplicated by canonical key.
-
-    With a `bound`, each deduplicated level keeps only the classes with at
-    most `bound` p-saturating edges.  The count never rises under vertex
-    deletion, so every class within the bound keeps all of its min-degree
-    deletion ancestors and is still generated; classes above it are not.
-    Without one, no class is counted.
-    """
-    classes, exact = _Levels(n, p, e_min, e_max, budget).classes(bound)
-    return {key: g for key, (g, _) in classes.items()}, exact
+        return {key: level[key] for key in sorted(level) if level[key][1] <= bound}
 
 
 @dataclass(frozen=True)
@@ -448,25 +425,36 @@ def _minimise(
     )
 
 
-def _deepening_search(n: int, e: int, p: int, budget: int, excluded: Optional[str] = None) -> SearchResult:
-    """_minimise over the e-edge classes, generated in passes U = 0, 1, 2, ...
-    that keep only classes with at most U saturating edges.
+def _deepen(
+    n: int,
+    p: int,
+    e_min: int,
+    e_max: int,
+    budget: int,
+    excluded: Optional[str] = None,
+) -> dict[int, SearchResult]:
+    """One _minimise row per edge count e_min..e_max, from classes generated
+    in passes U = 0, 1, 2, ... that keep only those with at most U
+    saturating edges.
 
-    The first pass that finds an e-edge class (other than `excluded`) with
-    at most U saturating edges has the exact minimum and every minimising
-    class; a pass at U = C(n, 2) - e prunes nothing with e edges, so the
-    passes end.  The passes share one level store and one budget, so
-    `explored` counts each candidate once, and running out returns that
-    pass's partial result with exact=False.
+    The passes stop at the first that has a class (other than `excluded`)
+    for every edge count in the window.  That pass holds every minimiser of
+    every row, since each minimum is at most U, so each row is the one an
+    unpruned pass gives.  No class on k + 1 vertices has more than
+    C(k + 1, 2) - e_min * C(k + 1, 2) / C(n, 2) <= C(n, 2) - e_min non-edges,
+    so the pass at U = C(n, 2) - e_min prunes nothing and the passes end.
+    They share one level store and one budget, so `explored` counts each
+    candidate once, and running out returns that pass's partial rows with
+    exact=False.
     """
     tracker = _Budget(budget)
-    levels = _Levels(n, p, e, e, tracker)
-    for bound in range(n * (n - 1) // 2 - e + 1):
+    window = range(e_min, e_max + 1)
+    levels = _Levels(n, p, e_min, e_max, tracker)
+    for bound in range(n * (n - 1) // 2 - e_min + 1):
         classes, exact = levels.classes(bound)
-        result = _minimise(classes, n, e, p, tracker.spent, exact, excluded)
-        if result.minimum is not None or not exact:
+        if not exact or {g.m for key, (g, _) in classes.items() if key != excluded}.issuperset(window):
             break
-    return result
+    return {e: _minimise(classes, n, e, p, tracker.spent, exact, excluded) for e in window}
 
 
 def min_saturating(n: int, e: int, p: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
@@ -481,7 +469,7 @@ def min_saturating(n: int, e: int, p: int, budget: int = DEFAULT_SEARCH_BUDGET) 
     each candidate is labelled once.
     """
     _validate_instance(n, e, p)
-    return _deepening_search(n, e, p, budget)
+    return _deepen(n, p, e, e, budget)[e]
 
 
 def min_saturating_table(n: int, p: int, e_max: int, budget: int = DEFAULT_SEARCH_BUDGET) -> dict[int, SearchResult]:
@@ -490,18 +478,9 @@ def min_saturating_table(n: int, p: int, e_max: int, budget: int = DEFAULT_SEARC
 
     The passes U = 0, 1, 2, ... stop at the first that has a class for every
     edge count; every e up to e_max <= ex(n, K_p) has one, so they end.
-    That pass holds every minimiser of every e, since each minimum is at
-    most U, so each row is the one an unpruned pass gives.
     """
     _validate_instance(n, e_max, p)
-    tracker = _Budget(budget)
-    wanted = set(range(e_max + 1))
-    levels = _Levels(n, p, 0, e_max, tracker)
-    for bound in range(n * (n - 1) // 2 + 1):
-        classes, exact = levels.classes(bound)
-        if not exact or {g.m for g, _ in classes.values()} >= wanted:
-            break
-    return {e: _minimise(classes, n, e, p, tracker.spent, exact) for e in range(e_max + 1)}
+    return _deepen(n, p, 0, e_max, budget)
 
 
 def min_saturating_at_jump(n: int, p: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:
@@ -520,4 +499,4 @@ def min_saturating_constrained(n: int, p: int, budget: int = DEFAULT_SEARCH_BUDG
     e = turan_number(n, p)
     _validate_instance(n, e, p + 1)
     excluded = canonical_key(turan_graph(n, p - 1))
-    return _deepening_search(n, e, p + 1, budget, excluded)
+    return _deepen(n, p + 1, e, e, budget, excluded)[e]

@@ -270,6 +270,13 @@ def test_threads_flag_is_unknown_where_unused(argv):
     assert exc.value.code == 2
 
 
+def test_verify_small_flag_is_unknown():
+    # the harness has one scope, so no flag selects it
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--small"])
+    assert exc.value.code == 2
+
+
 def test_pack_budget_exhaustion_exits_3(capsys, tmp_path, h1_310):
     path = write_graph(tmp_path, h1_310.graph)
     code, _, err = run(capsys, ["pack", "--p", "3", "--in", path, "--budget", "1"])
@@ -389,7 +396,7 @@ def test_formulas_table(capsys):
 
 
 def test_verify_small_json_green(capsys):
-    code, out, err = run(capsys, ["verify", "--small"])
+    code, out, err = run(capsys, ["verify"])
     assert code == 0
     reports = json.loads(out)
     assert not [r for r in reports if r["status"] == "fail" and not r["informational"]]
@@ -397,6 +404,6 @@ def test_verify_small_json_green(capsys):
 
 
 def test_verify_small_csv(capsys):
-    code, out, _ = run(capsys, ["verify", "--small", "--format", "csv"])
+    code, out, _ = run(capsys, ["verify", "--format", "csv"])
     assert code == 0
     assert out.splitlines()[0] == "check_id,status,informational,lhs,rhs,reason,elapsed"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,8 @@ from satedge.graph import (
     mask_of,
     parse_edge_list,
 )
+
+from conftest import kpfree_graph_strategy, planted_twin_strategy
 
 
 def random_graph_strategy(max_n=12):
@@ -94,6 +98,8 @@ def test_find_clique_trivial_sizes(c5):
     assert find_clique(c5, 1) == (0,)
     with pytest.raises(ValueError):
         find_clique(c5, 0)
+    with pytest.raises(ValueError):
+        c5.clique_in(c5.vertices_mask(), 0)
 
 
 def test_enumerate_cliques_counts():
@@ -186,3 +192,60 @@ def test_find_clique_agrees_with_enumeration(g, k):
         members = mask_of(witness)
         assert members.bit_count() == k
         assert induced_edges(g, members) == k * (k - 1) // 2
+
+
+def recursive_cliques(g, p, mask=None):
+    """The recursive generator that enumerate_cliques replaced, kept as the
+    reference: ordered expansion with a population-count prune."""
+    adj = g.adj
+
+    def rec(prefix, cand):
+        need = p - len(prefix)
+        if need == 0:
+            yield prefix
+            return
+        while cand:
+            if cand.bit_count() < need:
+                return
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            yield from rec(prefix + (v,), cand & adj[v])
+
+    yield from rec((), g.vertices_mask() if mask is None else mask)
+
+
+def recursive_clique_in(g, mask, k):
+    """The recursive probe that Graph.clique_in replaced (k >= 1)."""
+    adj = g.adj
+    out = []
+
+    def rec(cand, need):
+        if need == 0:
+            return True
+        while cand:
+            if cand.bit_count() < need:
+                return False
+            low = cand & -cand
+            v = low.bit_length() - 1
+            out.append(v)
+            if rec(cand & adj[v], need - 1):
+                return True
+            out.pop()
+            cand ^= low
+        return False
+
+    return tuple(out) if rec(g.twin_representatives(mask), k) else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(kpfree_graph_strategy(), planted_twin_strategy()), st.integers(min_value=0, max_value=2**32 - 1))
+def test_enumerate_cliques_matches_recursive_reference(graph_and_p, seed):
+    g, _ = graph_and_p
+    rng = random.Random(seed)
+    masks = [None] + [rng.getrandbits(g.n) for _ in range(3)]
+    for k in range(1, 6):
+        for mask in masks:
+            assert list(enumerate_cliques(g, k, mask)) == list(recursive_cliques(g, k, mask)), (g.adj, k, mask)
+            probe = g.vertices_mask() if mask is None else mask
+            assert g.clique_in(probe, k) == recursive_clique_in(g, probe, k), (g.adj, k, mask)

@@ -6,6 +6,7 @@ between modules is public and visible at the top of the importing file.
 No module or script uses `assert`, which `python -O` strips: checks raise a
 named error or count as a failure instead.  Importing the package and its
 CLI loads no `multiprocessing`: only a call that starts a worker pool does.
+Every private function, class and method is used somewhere in the package.
 """
 
 import ast
@@ -52,6 +53,34 @@ def test_no_private_or_function_local_package_imports(path):
         if in_function:
             problems.append(f"{where} imports from .{node.module or ''} inside a function")
     assert not problems, "\n".join(problems)
+
+
+def _private_definitions(tree):
+    """Names of the module's `_`-prefixed top-level functions and classes and
+    of its classes' `_`-prefixed methods, dunder names left out."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for node in tree.body:
+        if isinstance(node, defs):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [item.name for item in node.body if isinstance(item, defs)]
+    return [name for name in found if name.startswith("_") and not name.endswith("__")]
+
+
+def test_no_unused_private_code():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in MODULES}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [
+        f"{name}: {item}" for name, tree in trees.items() for item in _private_definitions(tree) if item not in used
+    ]
+    assert not unused, "never referenced in the package:\n" + "\n".join(unused)
 
 
 @pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda path: path.stem)

@@ -16,10 +16,10 @@ from satedge.saturation import count_saturating
 from satedge.search import (
     InfeasibleError,
     _Budget,
-    _deepening_search,
+    _Levels,
+    _deepen,
     _extend,
     _extensions,
-    _generate_classes,
     _minimise,
     _refined_colors,
     canonical_graph,
@@ -217,6 +217,13 @@ def test_canonical_key_separates_atlas_classes():
         assert len(set(keys)) == len(keys)
 
 
+def unpruned_classes(n, p, e_min, e_max, budget=None):
+    """Every class in the edge window as key -> (graph, count), and the exact
+    flag: one pass of _Levels at a bound no count can exceed, so nothing is
+    pruned."""
+    return _Levels(n, p, e_min, e_max, budget or _Budget(10**9)).classes(n * (n - 1) // 2)
+
+
 def nx_clique_free(nxg, p):
     return all(len(c) < p for c in nx.find_cliques(nxg)) if nxg.number_of_nodes() else True
 
@@ -224,10 +231,10 @@ def nx_clique_free(nxg, p):
 @pytest.mark.parametrize("n,p", [(5, 3), (6, 3), (6, 4), (7, 4)])
 def test_generation_matches_atlas_class_counts(n, p):
     e_max = turan_number(n, p)
-    reps, exact = _generate_classes(n, p, 0, e_max, _Budget(10**9))
+    reps, exact = unpruned_classes(n, p, 0, e_max)
     assert exact
     mine = {}
-    for g in reps.values():
+    for g, _ in reps.values():
         mine[g.m] = mine.get(g.m, 0) + 1
     theirs = {}
     for nxg in atlas_by_size(n):
@@ -376,9 +383,9 @@ def old_class_keys(n, p, e_min, e_max):
 
 
 def new_class_keys(n, p, e_min, e_max):
-    reps, exact = _generate_classes(n, p, e_min, e_max, _Budget(10**9))
+    reps, exact = unpruned_classes(n, p, e_min, e_max)
     assert exact
-    assert all(canonical_key(g) == key for key, g in reps.items())
+    assert all(canonical_key(g) == key for key, (g, _) in reps.items())
     return set(reps)
 
 
@@ -396,7 +403,7 @@ def test_triangle_free_class_counts_match_oeis():
     # OEIS A006785: triangle-free graphs on n unlabeled nodes
     counts = [1, 2, 3, 7, 14, 38, 107, 410, 1897, 12172]
     for n, expected in enumerate(counts, start=1):
-        reps, exact = _generate_classes(n, 3, 0, turan_number(n, 3), _Budget(10**9))
+        reps, exact = unpruned_classes(n, 3, 0, turan_number(n, 3))
         assert exact and len(reps) == expected
 
 
@@ -422,16 +429,12 @@ def test_constrained_excludes_the_balanced_graph(prism):
     assert canonical_key(turan_graph(6, 2)) not in result.witnesses
 
 
-def counted(reps, p):
-    return {key: (g, count_saturating(g, p).total) for key, g in reps.items()}
-
-
 def unpruned_search(n, e, p, excluded=None):
     """The one-pass search the deepening replaced: every class with e edges,
     no bound on the saturating count."""
     tracker = _Budget(10**9)
-    reps, exact = _generate_classes(n, p, e, e, tracker)
-    return _minimise(counted(reps, p), n, e, p, tracker.spent, exact, excluded)
+    classes, exact = unpruned_classes(n, p, e, e, tracker)
+    return _minimise(classes, n, e, p, tracker.spent, exact, excluded)
 
 
 def seeded_search_cells(count, seed=11):
@@ -452,7 +455,7 @@ def seeded_search_cells(count, seed=11):
     + seeded_search_cells(10),
 )
 def test_deepening_matches_unpruned_search(n, e, p, excluded):
-    pruned = _deepening_search(n, e, p, 10**9, excluded)
+    pruned = _deepen(n, p, e, e, 10**9, excluded)[e]
     full = unpruned_search(n, e, p, excluded)
     assert pruned.exact and full.exact
     assert pruned.minimum is not None
@@ -463,11 +466,12 @@ def test_deepening_matches_unpruned_search(n, e, p, excluded):
 def test_count_bound_keeps_exactly_the_classes_within_it(n, p, e_min, e_max):
     # heredity: a class within the bound keeps every min-degree deletion
     # ancestor, so the pruned generator loses none of them
-    full, exact = _generate_classes(n, p, e_min, e_max, _Budget(10**9))
+    full, exact = unpruned_classes(n, p, e_min, e_max)
     assert exact
-    counts = {key: count_saturating(g, p).total for key, g in full.items()}
+    counts = {key: count_saturating(g, p).total for key, (g, _) in full.items()}
+    assert counts == {key: count for key, (_, count) in full.items()}
     for bound in range(max(counts.values()) + 1):
-        pruned, exact = _generate_classes(n, p, e_min, e_max, _Budget(10**9), bound=bound)
+        pruned, exact = _Levels(n, p, e_min, e_max, _Budget(10**9)).classes(bound)
         assert exact
         assert set(pruned) == {key for key, c in counts.items() if c <= bound}
 
@@ -482,9 +486,8 @@ def test_deepening_budget_is_shared_across_passes():
 @pytest.mark.parametrize("n,p,e_max", [(7, 4, 12), (6, 4, 12), (7, 4, 16), (7, 3, 12), (8, 3, 12)])
 def test_table_deepening_matches_unpruned_pass(n, p, e_max):
     tracker = _Budget(10**9)
-    reps, exact = _generate_classes(n, p, 0, e_max, tracker)
+    classes, exact = unpruned_classes(n, p, 0, e_max, tracker)
     assert exact
-    classes = counted(reps, p)
     table = min_saturating_table(n, p, e_max)
     assert sorted(table) == list(range(e_max + 1))
     for e, row in table.items():
@@ -501,7 +504,7 @@ def test_deepening_labels_each_candidate_once(n):
     result = min_saturating_at_jump(n, 3)
     e = turan_number(n, 3) + 1
     final = _Budget(10**9)
-    _generate_classes(n, 4, e, e, final, bound=result.minimum)
+    _Levels(n, 4, e, e, final).classes(result.minimum)
     assert result.explored == final.spent
 
 
@@ -559,13 +562,17 @@ JUMP_TABLE = Path(__file__).resolve().parent.parent / "scripts" / "jump_table.py
 def test_jump_table_script_rows():
     src = str(JUMP_TABLE.parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run(
-        [sys.executable, str(JUMP_TABLE), "--n-min", "5", "--n-max", "8"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+
+    def jump_table(*args):
+        return subprocess.run(
+            [sys.executable, str(JUMP_TABLE), *args], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    for budget in ("0", "-3"):
+        refused = jump_table("--budget", budget)
+        assert refused.returncode == 2 and refused.stdout == "", (budget, refused.stdout)
+        assert "--budget must be positive" in refused.stderr
+    run = jump_table("--n-min", "5", "--n-max", "8")
     assert run.returncode == 0, run.stderr
     header, *rows = [line.split() for line in run.stdout.splitlines()]
     assert header == ["n", "e", "minimum", "explored", "exact"]

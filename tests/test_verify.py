@@ -129,7 +129,7 @@ def test_analyze_failure_is_a_fail_report(monkeypatch):
 
 
 def test_cli_verify_reports_a_library_failure(forced_bound, capsys):
-    assert main(["verify", "--small"]) == 1
+    assert main(["verify"]) == 1
     captured = capsys.readouterr()
     reports = json.loads(captured.out)
     assert len(reports) == 80
