@@ -64,12 +64,21 @@ class Config:
     emit_witnesses: bool = False
 
 
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1, true, yes, 0, false or no, not {text!r}")
+
+
 _CONFIG_PARSERS = {
     "search_budget": int,
     "pack_budget": int,
     "vertex_cap": int,
     "output_format": str,
-    "emit_witnesses": lambda s: s.lower() in ("1", "true", "yes"),
+    "emit_witnesses": _parse_bool,
 }
 
 
@@ -305,24 +314,20 @@ def _cmd_verify(args, cfg: Config) -> int:
     return 1 if bad else 0
 
 
+_COMMANDS = {
+    "construct": _cmd_construct,
+    "count": _cmd_count,
+    "pack": _cmd_pack,
+    "search": _cmd_search,
+    "formulas": _cmd_formulas,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.command == "construct":
-            return _cmd_construct(args, cfg)
-        if args.command == "count":
-            return _cmd_count(args, cfg)
-        if args.command == "pack":
-            return _cmd_pack(args, cfg)
-        if args.command == "search":
-            return _cmd_search(args, cfg)
-        if args.command == "formulas":
-            return _cmd_formulas(args, cfg)
-        if args.command == "verify":
-            return _cmd_verify(args, cfg)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, load_config(args.config))
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
@@ -332,7 +337,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, InfeasibleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ exact shortcuts keep this fast without changing the answer:
 - Refinement re-splits cells only against the pieces of the cells that
   split in the last round (the splitter cells of McKay & Piperno,
   "Practical graph isomorphism II", 2014).  Members of one cell already
-  agree on their counts to every older cell, so the colours are those of
+  agree on their counts to every older cell, so the cells are those of
   re-reading every cell each round.
 - Every candidate at a position adds a column of the same length after the
   same prefix, so only the candidates with the least column can lead to the
@@ -64,9 +64,9 @@ class InfeasibleError(ValueError):
     """No graph with the requested parameters exists."""
 
 
-def _refined_colors(g: Graph) -> list[int]:
-    """Stable vertex colouring: the cells of iterated (colour, neighbour count
-    per colour) refinement from the degrees, numbered in order.
+def _refined_cells(g: Graph) -> list[list[int]]:
+    """The cells of iterated (cell, neighbour count per cell) refinement from
+    the degrees, in cell order, each cell's vertices in increasing order.
 
     Each round splits a cell by its members' neighbour counts to the cells,
     read in cell order; the pieces take the cell's place, in that vector's
@@ -99,11 +99,7 @@ def _refined_colors(g: Graph) -> list[int]:
             else:
                 refined.append(cell)
         cells = refined
-    colors = [0] * g.n
-    for c, cell in enumerate(cells):
-        for v in cell:
-            colors[v] = c
-    return colors
+    return cells
 
 
 def _twin_masks(adj: tuple[int, ...]) -> list[int]:
@@ -132,19 +128,10 @@ def canonical_ordering(g: Graph) -> tuple[int, ...]:
     increasing label.
     """
     n = g.n
-    if n == 0:
-        return ()
     adj = g.adj
-    colors = _refined_colors(g)
-    k = max(colors) + 1
-    if k == n:  # all cells are singletons: one class-respecting ordering
-        perm = [0] * n
-        for v, c in enumerate(colors):
-            perm[c] = v
-        return tuple(perm)
-    cells: list[list[int]] = [[] for _ in range(k)]
-    for v, c in enumerate(colors):
-        cells[c].append(v)
+    cells = _refined_cells(g)
+    if len(cells) == n:  # all cells are singletons: one class-respecting ordering
+        return tuple(cell[0] for cell in cells)
     slots = [cell for cell in cells for _ in cell]
     twins = _twin_masks(adj)
 
@@ -264,18 +251,6 @@ def _extensions(g: Graph, p: int, m_lo: int, e_max: int) -> list[int]:
     )
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.spent = 0
-
-    def take(self, amount: int) -> int:
-        """Consume up to `amount`; returns how much was granted."""
-        granted = min(amount, self.limit - self.spent)
-        self.spent += max(granted, 0)
-        return max(granted, 0)
-
-
 class _Levels:
     """The classes of one search, level by level, kept from one pass of a
     deepening count bound to the next.
@@ -284,7 +259,9 @@ class _Levels:
     labelled so far to (canonical graph, saturating count); expanded[k]
     holds the keys whose children are in levels[k + 1].  A pass expands
     only the parents within its bound that no earlier pass expanded, so
-    each candidate is labelled once per search.
+    each candidate is labelled once per search.  The store also holds the
+    search's budget: `spent` counts the candidates labelled so far by all
+    passes together and stays within max(budget, 0).
 
     A child (a class plus a vertex joined to a subset s) is kept only if
     the new vertex has minimum degree in it: every class H is the
@@ -295,9 +272,9 @@ class _Levels:
     candidates (one unit of budget each), deduplicated by canonical key.
     """
 
-    def __init__(self, n: int, p: int, e_min: int, e_max: int, budget: _Budget):
+    def __init__(self, n: int, p: int, e_min: int, e_max: int, budget: int):
         self.n, self.p, self.e_min, self.e_max = n, p, e_min, e_max
-        self.budget = budget
+        self.budget, self.spent = budget, 0
         single = Graph(1, (0,))
         self.levels: list[dict[str, tuple[Graph, int]]] = [{graph6_encode(single): (single, 0)}]
         self.levels += [{} for _ in range(n - 1)]
@@ -325,10 +302,11 @@ class _Levels:
                     continue
                 done.add(key)
                 nbhds = _extensions(g, p, m_lo, self.e_max)
-                granted = self.budget.take(len(nbhds))
-                if granted < len(nbhds):
+                left = max(self.budget - self.spent, 0)
+                if left < len(nbhds):
                     exact = False
-                    nbhds = nbhds[:granted]
+                    nbhds = nbhds[:left]
+                self.spent += len(nbhds)
                 for s in nbhds:
                     cg = canonical_graph(_extend(g, s))
                     child = graph6_encode(cg)
@@ -447,14 +425,13 @@ def _deepen(
     candidate once, and running out returns that pass's partial rows with
     exact=False.
     """
-    tracker = _Budget(budget)
     window = range(e_min, e_max + 1)
-    levels = _Levels(n, p, e_min, e_max, tracker)
+    levels = _Levels(n, p, e_min, e_max, budget)
     for bound in range(n * (n - 1) // 2 - e_min + 1):
         classes, exact = levels.classes(bound)
         if not exact or {g.m for key, (g, _) in classes.items() if key != excluded}.issuperset(window):
             break
-    return {e: _minimise(classes, n, e, p, tracker.spent, exact, excluded) for e in window}
+    return {e: _minimise(classes, n, e, p, levels.spent, exact, excluded) for e in window}
 
 
 def min_saturating(n: int, e: int, p: int, budget: int = DEFAULT_SEARCH_BUDGET) -> SearchResult:

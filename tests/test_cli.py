@@ -60,6 +60,9 @@ def test_load_config_file_and_comments(tmp_path):
         "threads=2\n",
         "output_format=yaml\n",
         "output_format=text\n",
+        # a misspelt or empty boolean is no silent False
+        "emit_witnesses=ture\n",
+        "emit_witnesses=\n",
     ],
 )
 def test_load_config_rejects_bad_files(tmp_path, text):
@@ -67,6 +70,22 @@ def test_load_config_rejects_bad_files(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "word,value", [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False)]
+)
+def test_load_config_booleans(tmp_path, word, value):
+    path = tmp_path / "satedge.cfg"
+    path.write_text(f"emit_witnesses = {word}\n")
+    assert load_config(str(path)).emit_witnesses is value
+
+
+@pytest.mark.parametrize("argv", [["bogus"], []])
+def test_unknown_or_missing_command_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):

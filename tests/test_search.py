@@ -15,13 +15,12 @@ from satedge.graph import BlowupSpec, Graph, bits, build_graph, contains_clique,
 from satedge.saturation import count_saturating
 from satedge.search import (
     InfeasibleError,
-    _Budget,
     _Levels,
     _deepen,
     _extend,
     _extensions,
     _minimise,
-    _refined_colors,
+    _refined_cells,
     canonical_graph,
     canonical_key,
     canonical_ordering,
@@ -79,6 +78,9 @@ def test_canonical_graph_is_idempotent(g):
 
 
 def test_canonical_key_of_symmetric_graphs():
+    assert canonical_ordering(Graph(0, ())) == ()
+    assert canonical_key(Graph(0, ())) == "?"
+    assert canonical_key(Graph(1, (0,))) == "@"
     n = 10
     assert canonical_key(build_graph(n, [])) == "I????????"
     assert canonical_key(build_graph(n, itertools.combinations(range(n), 2))) == "I~~~~~~~w"
@@ -90,6 +92,15 @@ def test_canonical_key_of_symmetric_graphs():
         perm = list(range(host.n))
         rng.shuffle(perm)
         assert canonical_key(relabeled(host, perm)) == key
+
+
+def cell_colors(cells):
+    """Vertex -> the index of its cell."""
+    colors = [0] * sum(len(cell) for cell in cells)
+    for c, cell in enumerate(cells):
+        for v in cell:
+            colors[v] = c
+    return colors
 
 
 def backtracking_refined_colors(g):
@@ -199,7 +210,7 @@ def test_canonical_ordering_matches_backtracking_oracle():
     for g in inputs:
         perm = canonical_ordering(g)
         assert perm == backtracking_canonical_ordering(g), g.adj
-        assert _refined_colors(g) == backtracking_refined_colors(g), g.adj
+        assert cell_colors(_refined_cells(g)) == backtracking_refined_colors(g), g.adj
 
 
 def atlas_by_size(n):
@@ -217,11 +228,17 @@ def test_canonical_key_separates_atlas_classes():
         assert len(set(keys)) == len(keys)
 
 
-def unpruned_classes(n, p, e_min, e_max, budget=None):
+def unpruned_pass(n, p, e_min, e_max):
+    """The level store after one pass at a bound no count can exceed, so
+    nothing is pruned, and that pass's (classes, exact)."""
+    levels = _Levels(n, p, e_min, e_max, 10**9)
+    return levels, levels.classes(n * (n - 1) // 2)
+
+
+def unpruned_classes(n, p, e_min, e_max):
     """Every class in the edge window as key -> (graph, count), and the exact
-    flag: one pass of _Levels at a bound no count can exceed, so nothing is
-    pruned."""
-    return _Levels(n, p, e_min, e_max, budget or _Budget(10**9)).classes(n * (n - 1) // 2)
+    flag, from one unpruned pass."""
+    return unpruned_pass(n, p, e_min, e_max)[1]
 
 
 def nx_clique_free(nxg, p):
@@ -343,7 +360,7 @@ def test_jump_minima_past_the_atlas(n, minimum, witnesses):
 
 
 def old_refined_colors(g):
-    """The refinement by sorted neighbor colors that _refined_colors replaced."""
+    """The refinement by sorted neighbor colors that _refined_cells replaced."""
     colors = [g.degree(v) for v in range(g.n)]
     while True:
         sig = [
@@ -360,7 +377,11 @@ def old_refined_colors(g):
 @settings(max_examples=200, deadline=None)
 @given(small_graph_strategy())
 def test_refined_colors_match_sorted_neighbor_oracle(g):
-    assert _refined_colors(g) == old_refined_colors(g)
+    cells = _refined_cells(g)
+    # the cells partition the vertices, each cell in increasing order
+    assert sorted(v for cell in cells for v in cell) == list(range(g.n))
+    assert all(cell == sorted(cell) for cell in cells)
+    assert cell_colors(cells) == old_refined_colors(g)
 
 
 def old_class_keys(n, p, e_min, e_max):
@@ -432,9 +453,8 @@ def test_constrained_excludes_the_balanced_graph(prism):
 def unpruned_search(n, e, p, excluded=None):
     """The one-pass search the deepening replaced: every class with e edges,
     no bound on the saturating count."""
-    tracker = _Budget(10**9)
-    classes, exact = unpruned_classes(n, p, e, e, tracker)
-    return _minimise(classes, n, e, p, tracker.spent, exact, excluded)
+    levels, (classes, exact) = unpruned_pass(n, p, e, e)
+    return _minimise(classes, n, e, p, levels.spent, exact, excluded)
 
 
 def seeded_search_cells(count, seed=11):
@@ -471,7 +491,7 @@ def test_count_bound_keeps_exactly_the_classes_within_it(n, p, e_min, e_max):
     counts = {key: count_saturating(g, p).total for key, (g, _) in full.items()}
     assert counts == {key: count for key, (_, count) in full.items()}
     for bound in range(max(counts.values()) + 1):
-        pruned, exact = _Levels(n, p, e_min, e_max, _Budget(10**9)).classes(bound)
+        pruned, exact = _Levels(n, p, e_min, e_max, 10**9).classes(bound)
         assert exact
         assert set(pruned) == {key for key, c in counts.items() if c <= bound}
 
@@ -483,15 +503,31 @@ def test_deepening_budget_is_shared_across_passes():
     assert not cut.exact and cut.explored == spent - 1
 
 
+@pytest.mark.parametrize(
+    "search,full_spend",
+    [
+        (lambda budget: [min_saturating_at_jump(8, 3, budget=budget)], 136),
+        (lambda budget: list(min_saturating_table(7, 4, 12, budget=budget).values()), 703),
+        (lambda budget: [min_saturating_constrained(8, 3, budget=budget)], 163),
+    ],
+    ids=["jump-8-3", "table-7-4-12", "constrained-8-3"],
+)
+def test_budget_spends_at_most_its_value_and_is_exact_only_in_full(search, full_spend):
+    # a budget below 1 labels nothing; one at least the full spend is exact
+    for budget in (-5, -1, 0, 1, full_spend - 1, full_spend, full_spend + 1):
+        for row in search(budget):
+            assert row.explored == min(max(budget, 0), full_spend), budget
+            assert row.exact == (budget >= full_spend), budget
+
+
 @pytest.mark.parametrize("n,p,e_max", [(7, 4, 12), (6, 4, 12), (7, 4, 16), (7, 3, 12), (8, 3, 12)])
 def test_table_deepening_matches_unpruned_pass(n, p, e_max):
-    tracker = _Budget(10**9)
-    classes, exact = unpruned_classes(n, p, 0, e_max, tracker)
+    levels, (classes, exact) = unpruned_pass(n, p, 0, e_max)
     assert exact
     table = min_saturating_table(n, p, e_max)
     assert sorted(table) == list(range(e_max + 1))
     for e, row in table.items():
-        full = _minimise(classes, n, e, p, tracker.spent, exact)
+        full = _minimise(classes, n, e, p, levels.spent, exact)
         assert row.exact and row.minimum is not None
         assert (row.minimum, row.witnesses) == (full.minimum, full.witnesses)
         assert row.explored <= full.explored
@@ -503,8 +539,8 @@ def test_deepening_labels_each_candidate_once(n):
     # once, which is what a fresh pass at that bound alone labels
     result = min_saturating_at_jump(n, 3)
     e = turan_number(n, 3) + 1
-    final = _Budget(10**9)
-    _Levels(n, 4, e, e, final).classes(result.minimum)
+    final = _Levels(n, 4, e, e, 10**9)
+    final.classes(result.minimum)
     assert result.explored == final.spent
 
 
