@@ -5,12 +5,13 @@ K_{p+1}-free hosts with one edge more than the extremal K_p-free count.
 Every row is an exhaustive search over canonical isomorphism classes, so a
 positive minimum is a proof at that size, not a sample.  Row 5..8 at the
 default p=3 reproduces the frozen regression values 1, 1, 2, 3.  The
-`explored` column counts the candidates that were canonically labelled, each
-once over all passes of the deepening count bound: 6, 13, 36, 136, 185,
-1001, 2929 and 7001 for n = 5..12 at p = 3, where one unpruned pass over
-every class labels 6, 22, 107, 467, 4032 and 30584 for n = 5..10.  The
-pruning labels far fewer past n = 5, so a given --budget reaches further:
-n = 12 takes under two seconds at p = 3 and under one at p = 4.
+`explored` column counts the candidates generated, each once over all
+passes of the deepening count bound and each charged to --budget: 6, 13,
+36, 136, 185, 1001, 2929 and 7001 for n = 5..12 at p = 3, where one unpruned
+pass over every class generates 6, 22, 107, 467, 4032 and 30584 for
+n = 5..10.  Only the candidates within the final bound are labelled (1913 of
+the 7001 at n = 12).  The pruning generates far fewer past n = 5, so a given
+--budget reaches further: n = 12 takes under a second at p = 3 and at p = 4.
 """
 
 import argparse
@@ -30,6 +31,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.budget < 1:
         ap.error("--budget must be positive")
+    if args.p < 2:
+        ap.error("--p must be at least 2")
+    if args.n_min < args.p:
+        # turan_number(n, p) = C(n, 2) for n < p: no host has one edge more
+        ap.error("--n-min must be at least --p")
 
     print(f"{'n':>4} {'e':>6} {'minimum':>8} {'explored':>10} {'exact':>6}")
     for n in range(args.n_min, args.n_max + 1):

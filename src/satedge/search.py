@@ -4,10 +4,10 @@ The engine enumerates K_p-free graphs on n vertices up to isomorphism by
 level-wise vertex extension with canonical-form deduplication, then takes
 the minimum saturating count over the classes with the requested edge count.
 Classes grow along a minimum-degree construction path, and `explored`
-counts the candidates that are canonically labelled.  A parent's twins
-(equal open or closed neighbourhoods) are swapped by automorphisms, so a
-new vertex is joined only to one set per orbit of those swaps: the set
-that takes the lowest members of each twin class.
+counts the candidates generated (each charged once to the budget).  A
+parent's twins (equal open or closed neighbourhoods) are swapped by
+automorphisms, so a new vertex is joined only to one set per orbit of those
+swaps: the set that takes the lowest members of each twin class.
 
 Every search prunes by the saturating count itself.  Deleting a vertex w
 never raises it, f_p(H - w) <= f_p(H): every non-edge of H - w is one of
@@ -18,10 +18,13 @@ above U at every level without losing a class within it (McKay,
 bound deepens U = 0, 1, 2, ... in one loop for the single searches and
 the table alike: it stops at the first pass that reaches every edge count
 of its window, and that pass has the exact minimum of each and all its
-witnesses.  The passes of one search share their levels: a pass labels
+witnesses.  The passes of one search share their levels: a pass generates
 only the children of parents no earlier pass expanded, so each candidate
-is labelled once per search.
-The jump search then runs to n = 12 at p = 3 in under two seconds.
+is generated once per search.  A child's count is its parent's plus the
+pairs the new vertex makes saturating, so it is known before the child is
+labelled; a child above the bound waits unlabelled for a pass whose bound
+reaches it, and only the candidates within the final bound are ever
+labelled.  The jump search then runs to n = 12 at p = 3 in under a second.
 
 Canonical form: vertices are first partitioned by iterated degree
 refinement; the canonical labeling is the class-respecting relabeling that
@@ -55,7 +58,6 @@ from typing import Optional
 from .graph import Graph, bits, graph6_encode
 from .constructions import turan_graph, turan_number
 from .formulas import CheckFailedError
-from .saturation import count_saturating
 
 DEFAULT_SEARCH_BUDGET = 10 ** 9
 
@@ -251,16 +253,57 @@ def _extensions(g: Graph, p: int, m_lo: int, e_max: int) -> list[int]:
     )
 
 
+def _saturating_masks(g: Graph, p: int) -> list[int]:
+    """sat[a]: the vertices b with (a, b) a p-saturating non-edge of g."""
+    adj = g.adj
+    full = (1 << g.n) - 1
+    sat = [0] * g.n
+    for a in range(g.n):
+        for b in bits(full & ~adj[a] & -(2 << a)):
+            if g.clique_in(adj[a] & adj[b], p - 2) is not None:
+                sat[a] |= 1 << b
+                sat[b] |= 1 << a
+    return sat
+
+
+def _count_delta(g: Graph, sat: list[int], s: int, p: int) -> int:
+    """How many more p-saturating non-edges g + s has than g, given g's
+    saturating masks `sat` (a new vertex v joined to the mask s).
+
+    A non-edge of g keeps its status unless both ends lie in s, where v
+    joins their common neighbourhood: (i) such a pair that was not
+    saturating becomes so when v closes a (p-2)-clique with a (p-3)-clique
+    of the common neighbourhood inside s, which at p = 3 is the empty one.
+    (ii) The new non-edges are (v, b) for b outside s, saturating when
+    s & N(b) holds a (p-2)-clique.
+    """
+    adj = g.adj
+    delta = 0
+    for a in bits(s):
+        fresh = s & ~adj[a] & ~sat[a] & -(2 << a)
+        if p == 3:
+            delta += fresh.bit_count()
+        else:
+            delta += sum(1 for b in bits(fresh) if g.clique_in(adj[a] & adj[b] & s, p - 3) is not None)
+    outside = ((1 << g.n) - 1) & ~s
+    return delta + sum(1 for b in bits(outside) if g.clique_in(s & adj[b], p - 2) is not None)
+
+
 class _Levels:
     """The classes of one search, level by level, kept from one pass of a
     deepening count bound to the next.
 
     levels[k] maps the canonical key of each class on k + 1 vertices
     labelled so far to (canonical graph, saturating count); expanded[k]
-    holds the keys whose children are in levels[k + 1].  A pass expands
-    only the parents within its bound that no earlier pass expanded, so
-    each candidate is labelled once per search.  The store also holds the
-    search's budget: `spent` counts the candidates labelled so far by all
+    holds the keys whose children have been generated.  A pass expands
+    only the parents within its bound that no earlier pass expanded.  Each
+    child is counted before it is labelled, from its parent's count and
+    saturating pairs (`_count_delta`); a child above the pass's bound waits
+    unlabelled in waiting[k] as (parent key, mask, count) until a pass
+    whose bound reaches its count.  So each candidate is generated once per
+    search and labelled at most once: `labelled` counts the labels, which
+    are the candidates within the final bound.  The store also holds the
+    search's budget: `spent` counts the candidates generated so far by all
     passes together and stays within max(budget, 0).
 
     A child (a class plus a vertex joined to a subset s) is kept only if
@@ -274,11 +317,12 @@ class _Levels:
 
     def __init__(self, n: int, p: int, e_min: int, e_max: int, budget: int):
         self.n, self.p, self.e_min, self.e_max = n, p, e_min, e_max
-        self.budget, self.spent = budget, 0
+        self.budget, self.spent, self.labelled = budget, 0, 0
         single = Graph(1, (0,))
         self.levels: list[dict[str, tuple[Graph, int]]] = [{graph6_encode(single): (single, 0)}]
         self.levels += [{} for _ in range(n - 1)]
         self.expanded: list[set[str]] = [set() for _ in range(n)]
+        self.waiting: list[list[tuple[str, int, int]]] = [[] for _ in range(n)]
 
     def classes(self, bound: int) -> tuple[dict[str, tuple[Graph, int]], bool]:
         """One pass: the classes on n vertices with at most `bound` saturating
@@ -288,7 +332,7 @@ class _Levels:
         Count is hereditary and the edge window reads only the class, so
         the classes on k vertices within a bound are the same whatever
         bounds earlier passes had: the stored ones within it plus the
-        children of the parents expanded now.
+        waiting and new children within it.
         """
         n, p = self.n, self.p
         for k in range(1, n):
@@ -307,13 +351,18 @@ class _Levels:
                     exact = False
                     nbhds = nbhds[:left]
                 self.spent += len(nbhds)
-                for s in nbhds:
-                    cg = canonical_graph(_extend(g, s))
-                    child = graph6_encode(cg)
-                    if child not in children:
-                        children[child] = (cg, count_saturating(cg, p).total)
+                sat = _saturating_masks(g, p)
+                self.waiting[k] += [(key, s, count + _count_delta(g, sat, s, p)) for s in nbhds]
                 if not exact:
                     break
+            waiting, self.waiting[k] = self.waiting[k], []
+            for key, s, count in waiting:
+                if count > bound:
+                    self.waiting[k].append((key, s, count))
+                    continue
+                cg = canonical_graph(_extend(parents[key][0], s))
+                self.labelled += 1
+                children.setdefault(graph6_encode(cg), (cg, count))
             if not exact:
                 # a cut level cannot vouch for completeness of later ones
                 return (self._within(k, bound) if k == n - 1 else {}), False
@@ -328,9 +377,10 @@ class _Levels:
 class SearchResult:
     """One search's minimum and every minimising class (canonical graph6).
 
-    `explored` counts the candidates canonically labelled over all passes
-    of a deepening count bound, each once; `exact` is False when the budget
-    ran out first.
+    `explored` counts the candidates generated over all passes of a
+    deepening count bound, each once and each charged to the budget (only
+    those within the final bound are labelled); `exact` is False when the
+    budget ran out first.
     """
 
     n: int
@@ -443,7 +493,7 @@ def min_saturating(n: int, e: int, p: int, budget: int = DEFAULT_SEARCH_BUDGET) 
     Classes are generated in passes that keep only those with at most
     U = 0, 1, 2, ... saturating edges, up to the first U that admits an
     e-edge class; `explored` and the budget cover all passes, in which
-    each candidate is labelled once.
+    each candidate is generated once.
     """
     _validate_instance(n, e, p)
     return _deepen(n, p, e, e, budget)[e]

@@ -12,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 from satedge.constructions import base_graph, blow_up, turan_graph, turan_number
 from satedge.formulas import CheckFailedError
 from satedge.graph import BlowupSpec, Graph, bits, build_graph, contains_clique, graph6_decode, mask_of
+from satedge import search as search_module
 from satedge.saturation import count_saturating
 from satedge.search import (
     InfeasibleError,
     _Levels,
+    _count_delta,
     _deepen,
     _extend,
     _extensions,
@@ -544,6 +546,101 @@ def test_deepening_labels_each_candidate_once(n):
     assert result.explored == final.spent
 
 
+def saturating_masks_oracle(g, p):
+    """Per-vertex masks of the saturating non-edges count_saturating lists."""
+    sat = [0] * g.n
+    for u, v in count_saturating(g, p, edges=True).edges:
+        sat[u] |= 1 << v
+        sat[v] |= 1 << u
+    return sat
+
+
+@pytest.mark.parametrize(
+    "search",
+    [lambda n=n: [min_saturating_at_jump(n, 3)] for n in range(3, 10)]
+    + [lambda n=n: [min_saturating_constrained(n, 3)] for n in range(3, 9)]
+    + [lambda: list(min_saturating_table(7, 4, 12).values()), lambda: list(min_saturating_table(7, 3, 12).values())],
+    ids=[f"jump-{n}-3" for n in range(3, 10)]
+    + [f"constrained-{n}-3" for n in range(3, 9)]
+    + ["table-7-4-12", "table-7-3-12"],
+)
+def test_delta_count_matches_count_saturating(monkeypatch, search):
+    # every generated candidate is counted by its parent's count plus the
+    # delta, and that sum must be the count of the candidate itself
+    counted = []
+
+    def checked_delta(g, sat, s, p):
+        assert sat == saturating_masks_oracle(g, p), g.adj
+        delta = _count_delta(g, sat, s, p)
+        child = count_saturating(_extend(g, s), p).total
+        assert child == count_saturating(g, p).total + delta, (g.adj, s, p)
+        counted.append(s)
+        return delta
+
+    monkeypatch.setattr(search_module, "_count_delta", checked_delta)
+    rows = search()
+    assert all(row.exact for row in rows)
+    assert len(counted) == rows[0].explored > 0
+
+
+def deepening_store(monkeypatch, search):
+    """The search's rows and the one level store its deepening built."""
+    stores = []
+
+    class RecordedLevels(_Levels):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stores.append(self)
+
+    monkeypatch.setattr(search_module, "_Levels", RecordedLevels)
+    result = search()
+    (store,) = stores
+    return result, store
+
+
+# the labelled candidates are those whose count is within the final bound;
+# every candidate generated is charged to the budget as `explored`
+@pytest.mark.parametrize(
+    "search,explored,labelled",
+    [(lambda n=n: [min_saturating_at_jump(n, 3)], spent, lab) for n, spent, lab in
+     [(9, 185, 74), (10, 1001, 267), (11, 2929, 1018), (12, 7001, 1913)]]
+    + [(lambda n=n: [min_saturating_at_jump(n, 4)], spent, lab) for n, spent, lab in
+       [(10, 187, 88), (11, 839, 429), (12, 2519, 871)]]
+    + [(lambda: list(min_saturating_table(7, 4, 12).values()), 703, 635)],
+    ids=[f"jump-{n}-3" for n in (9, 10, 11, 12)] + [f"jump-{n}-4" for n in (10, 11, 12)] + ["table-7-4-12"],
+)
+def test_search_labels_only_candidates_within_the_final_bound(monkeypatch, search, explored, labelled):
+    rows, store = deepening_store(monkeypatch, search)
+    assert all(row.exact and row.explored == store.spent == explored for row in rows)
+    assert store.labelled == labelled
+    # the last pass's bound is the largest minimum; a fresh store at that
+    # bound alone generates and labels the same candidates
+    final = _Levels(store.n, store.p, store.e_min, store.e_max, 10**9)
+    final.classes(max(row.minimum for row in rows))
+    assert (final.spent, final.labelled) == (explored, labelled)
+
+
+def test_jump_minimum_at_13():
+    """A regression pin of the deepening search at n = 13, p = 3, which no
+    unpruned run has checked."""
+    result = min_saturating_at_jump(13, 3)
+    assert result.exact and result.explored == 78171
+    assert result.minimum == 9
+    assert result.witnesses == (
+        "LNG`A\\MRc~r}f{",
+        "LNPA?{]Fd^t}j{",
+        "L]??@{}Ne^x}r{",
+        "L]??A|]Vd^t}j{",
+        "L]PAC]Mb`~f}N{",
+        "L]oxpowp}NW{@~",
+        "L_K??KE~~~^{~w",
+        "LfxACMENx~F{Nw",
+        "LlPAC]Mb`~f}N{",
+        "LsK?CME^z~N{^w",
+        "LvwWopfXrMO~`}",
+    )
+
+
 def naive_twin_classes(g):
     """Vertex classes of u ~ v when N(u) - v == N(v) - u: false twins
     (non-adjacent) and true twins (adjacent) alike."""
@@ -608,6 +705,10 @@ def test_jump_table_script_rows():
         refused = jump_table("--budget", budget)
         assert refused.returncode == 2 and refused.stdout == "", (budget, refused.stdout)
         assert "--budget must be positive" in refused.stderr
+    for args, message in [(("--n-min", "0"), "--n-min must be at least --p"), (("--p", "1"), "--p must be at least 2")]:
+        refused = jump_table(*args)
+        assert refused.returncode == 2 and refused.stdout == "", (args, refused.stdout)
+        assert message in refused.stderr
     run = jump_table("--n-min", "5", "--n-max", "8")
     assert run.returncode == 0, run.stderr
     header, *rows = [line.split() for line in run.stdout.splitlines()]
