@@ -28,6 +28,12 @@ def main(argv=None) -> int:
     ap.add_argument("--y-values", type=parse_ints, default="0,1,2")
     ap.add_argument("--cap", type=int, default=200, help="packing columns only up to this vertex count")
     args = ap.parse_args(argv)
+    if any(p < 3 for p in args.p_values):
+        ap.error("--p-values must all be at least 3")
+    if any(x < 1 for x in args.x_values):
+        ap.error("--x-values must all be at least 1")
+    if any(y < 0 for y in args.y_values):
+        ap.error("--y-values must all be at least 0")
 
     header = f"{'p':>3} {'x':>3} {'y':>3} {'n':>6} {'m':>9} {'closed':>9} {'brute':>9} {'pack':>5} {'ell1':>6} {'ell2':>6}"
     print(header)

@@ -9,9 +9,10 @@ default p=3 reproduces the frozen regression values 1, 1, 2, 3.  The
 passes of the deepening count bound and each charged to --budget: 6, 13,
 36, 136, 185, 1001, 2929 and 7001 for n = 5..12 at p = 3, where one unpruned
 pass over every class generates 6, 22, 107, 467, 4032 and 30584 for
-n = 5..10.  Only the candidates within the final bound are labelled (1913 of
-the 7001 at n = 12).  The pruning generates far fewer past n = 5, so a given
---budget reaches further: n = 12 takes under a second at p = 3 and at p = 4.
+n = 5..10.  Only the candidates within the final bound whose new vertex lies
+in the first refined cell are labelled (1271 of the 7001 at n = 12).  The
+pruning generates far fewer past n = 5, so a given --budget reaches
+further: n = 12 takes under a second at p = 3 and at p = 4.
 """
 
 import argparse

@@ -22,8 +22,11 @@ def main(argv=None) -> int:
     ap.add_argument("--x", type=int, default=1)
     ap.add_argument("--y", type=int, default=0)
     args = ap.parse_args(argv)
+    try:
+        bu = h1(args.p, args.x, args.y)
+    except ValueError as exc:
+        ap.error(str(exc))
 
-    bu = h1(args.p, args.x, args.y)
     g, p = bu.graph, args.p
     pk = refine_packing(max_packing(g, p))
     r = pk.density

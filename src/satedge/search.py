@@ -23,8 +23,11 @@ only the children of parents no earlier pass expanded, so each candidate
 is generated once per search.  A child's count is its parent's plus the
 pairs the new vertex makes saturating, so it is known before the child is
 labelled; a child above the bound waits unlabelled for a pass whose bound
-reaches it, and only the candidates within the final bound are ever
-labelled.  The jump search then runs to n = 12 at p = 3 in under a second.
+reaches it.  A child within the bound is labelled only if its new vertex
+lies in the first cell of its refinement, McKay's canonical-deletion test
+with that cell as the invariant: some isomorphic child passes it, so no
+class is lost.  The jump search then runs to n = 12 at p = 3 in about half
+a second.
 
 Canonical form: vertices are first partitioned by iterated degree
 refinement; the canonical labeling is the class-respecting relabeling that
@@ -34,10 +37,10 @@ search that tries each position's candidates by increasing label.  Three
 exact shortcuts keep this fast without changing the answer:
 
 - Refinement re-splits cells only against the pieces of the cells that
-  split in the last round (the splitter cells of McKay & Piperno,
-  "Practical graph isomorphism II", 2014).  Members of one cell already
-  agree on their counts to every older cell, so the cells are those of
-  re-reading every cell each round.
+  split in the last round, all but the last piece of each (the splitter
+  cells of McKay & Piperno, "Practical graph isomorphism II", 2014).
+  Members of one cell already agree on their counts to every older cell,
+  so the cells are those of re-reading every cell each round.
 - Every candidate at a position adds a column of the same length after the
   same prefix, so only the candidates with the least column can lead to the
   least string; the others are never entered.
@@ -77,30 +80,43 @@ def _refined_cells(g: Graph) -> list[list[int]]:
     pieces of the cells that split in the last round can tell them apart:
     reading the counts against those pieces alone orders the members exactly
     as the full vectors do.  Refinement stops when no cell splits.
+
+    The counts are packed into one int per vertex, the first splitter's in
+    the highest bits, so ints compare as the count vectors do.  The last
+    piece of each split cell is no splitter (in round one, the last degree
+    cell): a member's count to it is its count to the whole cell, which all
+    members share, less its counts to the other pieces.  Two vectors first
+    differ before such a dropped count or not at all, so the order stays.
+    Dropping any other piece would not keep it: a difference in the dropped
+    count comes with one of opposite sign in a later piece, which would
+    decide the order instead.
     """
     adj = g.adj
+    width = g.n.bit_length()
     by_degree: dict[int, list[int]] = {}
     for v, a in enumerate(adj):
         by_degree.setdefault(a.bit_count(), []).append(v)
     cells = [by_degree[d] for d in sorted(by_degree)]
-    pieces = cells
-    while pieces:
-        splitters = [sum(1 << v for v in piece) for piece in pieces]
+    splitters = [sum(1 << v for v in cell) for cell in cells[:-1]]
+    while splitters:
         refined: list[list[int]] = []
-        pieces = []
+        next_splitters: list[int] = []
         for cell in cells:
-            groups: dict[tuple[int, ...], list[int]] = {}
+            groups: dict[int, list[int]] = {}
             if len(cell) > 1:
                 for v in cell:
                     a = adj[v]
-                    groups.setdefault(tuple([-(a & s).bit_count() for s in splitters]), []).append(v)
+                    sig = 0
+                    for s in splitters:
+                        sig = sig << width | (a & s).bit_count()
+                    groups.setdefault(sig, []).append(v)
             if len(groups) > 1:
-                split = [groups[sig] for sig in sorted(groups)]
+                split = [groups[sig] for sig in sorted(groups, reverse=True)]
                 refined.extend(split)
-                pieces.extend(split)
+                next_splitters.extend(sum(1 << v for v in piece) for piece in split[:-1])
             else:
                 refined.append(cell)
-        cells = refined
+        cells, splitters = refined, next_splitters
     return cells
 
 
@@ -129,9 +145,13 @@ def canonical_ordering(g: Graph) -> tuple[int, ...]:
     returns the first when each position tries its class's free vertices by
     increasing label.
     """
+    return _canonical_ordering(g, _refined_cells(g))
+
+
+def _canonical_ordering(g: Graph, cells: list[list[int]]) -> tuple[int, ...]:
+    """canonical_ordering(g), given g's refined cells `cells`."""
     n = g.n
     adj = g.adj
-    cells = _refined_cells(g)
     if len(cells) == n:  # all cells are singletons: one class-respecting ordering
         return tuple(cell[0] for cell in cells)
     slots = [cell for cell in cells for _ in cell]
@@ -185,7 +205,11 @@ def canonical_ordering(g: Graph) -> tuple[int, ...]:
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically relabeled copy of g."""
-    perm = canonical_ordering(g)
+    return _relabel(g, canonical_ordering(g))
+
+
+def _relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
+    """The copy of g with vertex perm[i] at position i."""
     at = [0] * g.n
     for i, v in enumerate(perm):
         at[v] = 1 << i
@@ -301,10 +325,9 @@ class _Levels:
     saturating pairs (`_count_delta`); a child above the pass's bound waits
     unlabelled in waiting[k] as (parent key, mask, count) until a pass
     whose bound reaches its count.  So each candidate is generated once per
-    search and labelled at most once: `labelled` counts the labels, which
-    are the candidates within the final bound.  The store also holds the
-    search's budget: `spent` counts the candidates generated so far by all
-    passes together and stays within max(budget, 0).
+    search and labelled at most once.  The store also holds the search's
+    budget: `spent` counts the candidates generated so far by all passes
+    together and stays within max(budget, 0).
 
     A child (a class plus a vertex joined to a subset s) is kept only if
     the new vertex has minimum degree in it: every class H is the
@@ -313,6 +336,17 @@ class _Levels:
     vertices needs e_min * C(k + 1, 2) / C(n, 2) to e_max edges.  K_p-free
     children that pass, one per orbit of the parent's twin swaps, are the
     candidates (one unit of budget each), deduplicated by canonical key.
+
+    A candidate within the bound is refined first and labelled, from those
+    same cells, only if its new vertex lies in the first refined cell;
+    `labelled` counts the labels.  Cells are ordered by degree, so the
+    first holds only vertices of minimum degree, and which vertices it
+    holds does not depend on the labels.  So every class H within the bound
+    has a vertex w in it; H - w is a stored parent within the bound and the
+    edge window (above), its orbit representative extended by N(w) is a
+    candidate isomorphic to H, and an isomorphism takes the new vertex to
+    w, into the first cell.  Skipping the other candidates loses no class.
+    The budget is charged at generation, so `spent` does not change.
     """
 
     def __init__(self, n: int, p: int, e_min: int, e_max: int, budget: int):
@@ -360,7 +394,11 @@ class _Levels:
                 if count > bound:
                     self.waiting[k].append((key, s, count))
                     continue
-                cg = canonical_graph(_extend(parents[key][0], s))
+                child = _extend(parents[key][0], s)
+                cells = _refined_cells(child)
+                if k not in cells[0]:
+                    continue  # an isomorphic child whose new vertex is in cell 0 is kept
+                cg = _relabel(child, _canonical_ordering(child, cells))
                 self.labelled += 1
                 children.setdefault(graph6_encode(cg), (cg, count))
             if not exact:
@@ -379,8 +417,8 @@ class SearchResult:
 
     `explored` counts the candidates generated over all passes of a
     deepening count bound, each once and each charged to the budget (only
-    those within the final bound are labelled); `exact` is False when the
-    budget ran out first.
+    some of those within the final bound are labelled); `exact` is False
+    when the budget ran out first.
     """
 
     n: int

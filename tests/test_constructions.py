@@ -206,3 +206,23 @@ def test_construction_census_script_rows():
     assert [tuple(map(int, row[:3])) for row in rows] == [(3, 1, 0), (3, 1, 1), (4, 1, 0), (4, 1, 1)]
     assert all(row[5] == row[6] for row in rows)
     assert rows[0][3:] == "66 1089 246 246 4 114 132".split()
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("--p-values", "2"), "--p-values must all be at least 3"),
+        (("--p-values", "3,2"), "--p-values must all be at least 3"),
+        (("--x-values", "0"), "--x-values must all be at least 1"),
+        (("--y-values", "0,-1"), "--y-values must all be at least 0"),
+    ],
+)
+def test_construction_census_script_refuses_bad_arguments(args, message):
+    # refused before the header, so stdout stays empty
+    src = str(CENSUS_SCRIPT.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, str(CENSUS_SCRIPT), *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 2 and run.stdout == "", (args, run.stdout)
+    assert message in run.stderr

@@ -758,3 +758,22 @@ def test_packing_profile_script_meets_its_bounds(p):
     assert len(bounds) == 4, run.stdout
     for lhs, rhs in bounds:
         assert Fraction(lhs) == Fraction(rhs)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("--p", "2"), "need p >= 3, x >= 1, y >= 0"),
+        (("--x", "0"), "need p >= 3, x >= 1, y >= 0"),
+        (("--y", "-1"), "need p >= 3, x >= 1, y >= 0"),
+        (("--y", "30"), "infeasible remainder: need p(p-1)(3p-4)x > y"),
+    ],
+)
+def test_packing_profile_script_refuses_bad_arguments(args, message):
+    src = str(PROFILE_SCRIPT.parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, str(PROFILE_SCRIPT), *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 2 and run.stdout == "", (args, run.stdout)
+    assert message in run.stderr

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from satedge.constructions import base_graph, blow_up, turan_graph, turan_number
 from satedge.formulas import CheckFailedError
-from satedge.graph import BlowupSpec, Graph, bits, build_graph, contains_clique, graph6_decode, mask_of
+from satedge.graph import BlowupSpec, Graph, bits, build_graph, contains_clique, graph6_decode, graph6_encode, mask_of
 from satedge import search as search_module
 from satedge.saturation import count_saturating
 from satedge.search import (
@@ -23,6 +23,7 @@ from satedge.search import (
     _extensions,
     _minimise,
     _refined_cells,
+    _saturating_masks,
     canonical_graph,
     canonical_key,
     canonical_ordering,
@@ -386,6 +387,79 @@ def test_refined_colors_match_sorted_neighbor_oracle(g):
     assert cell_colors(cells) == old_refined_colors(g)
 
 
+def tuple_signature_refined_cells(g):
+    """The refinement _refined_cells replaced: each member's signature is
+    the tuple of its negated counts against every piece of every cell that
+    split in the last round (every degree cell in round one), sorted
+    ascending."""
+    adj = g.adj
+    by_degree = {}
+    for v, a in enumerate(adj):
+        by_degree.setdefault(a.bit_count(), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    pieces = cells
+    while pieces:
+        splitters = [mask_of(piece) for piece in pieces]
+        refined, pieces = [], []
+        for cell in cells:
+            groups = {}
+            if len(cell) > 1:
+                for v in cell:
+                    groups.setdefault(tuple(-(adj[v] & s).bit_count() for s in splitters), []).append(v)
+            if len(groups) > 1:
+                split = [groups[sig] for sig in sorted(groups)]
+                refined.extend(split)
+                pieces.extend(split)
+            else:
+                refined.append(cell)
+        cells = refined
+    return cells
+
+
+def seeded_random_graph_upto_14(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    density = rng.choice((0.2, 0.5, 0.8))
+    return build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density])
+
+
+def seeded_blow_up(seed):
+    """A random base on 2..6 vertices, each vertex copied 1..5 times (at most
+    14 vertices) into false twins, or into true twins when the copies of
+    that vertex are joined; the copies' labels shuffled."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 6)
+    base = build_graph(k, [(u, v) for u, v in itertools.combinations(range(k), 2) if rng.random() < 0.5])
+    copies = [rng.randint(1, 5) for _ in range(k)]
+    while sum(copies) > 14:
+        copies[copies.index(max(copies))] -= 1
+    joined = [rng.random() < 0.5 for _ in range(k)]
+    owner = [b for b in range(k) for _ in range(copies[b])]
+    rng.shuffle(owner)
+    n = len(owner)
+    return build_graph(
+        n,
+        [
+            (u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if base.has_edge(owner[u], owner[v]) or (owner[u] == owner[v] and joined[owner[u]])
+        ],
+    )
+
+
+def test_refined_cells_match_tuple_signature_refinement():
+    # the packed signatures and the dropped last pieces give the same cells
+    # in the same order, so every canonical key stays the same
+    inputs = (
+        [to_bitset_graph(nxg) for nxg in nx.graph_atlas_g()]
+        + [seeded_random_graph_upto_14(seed) for seed in range(1500)]
+        + [seeded_blow_up(seed) for seed in range(600)]
+        + [blow_up(BlowupSpec(base_graph(3), sizes))[0] for sizes in [(1, 2, 3, 4, 4), (3, 3, 3, 2, 2), (2, 1, 1, 1, 1)]]
+    )
+    for g in inputs:
+        assert _refined_cells(g) == tuple_signature_refined_cells(g), g.adj
+
+
 def old_class_keys(n, p, e_min, e_max):
     """Canonical keys from the level-wise generator the min-degree path
     replaced: every K_p-free extension within the edge window, no
@@ -583,11 +657,11 @@ def test_delta_count_matches_count_saturating(monkeypatch, search):
     assert len(counted) == rows[0].explored > 0
 
 
-def deepening_store(monkeypatch, search):
+def deepening_store(monkeypatch, search, store_class=_Levels):
     """The search's rows and the one level store its deepening built."""
     stores = []
 
-    class RecordedLevels(_Levels):
+    class RecordedLevels(store_class):
         def __init__(self, *args):
             super().__init__(*args)
             stores.append(self)
@@ -598,15 +672,16 @@ def deepening_store(monkeypatch, search):
     return result, store
 
 
-# the labelled candidates are those whose count is within the final bound;
-# every candidate generated is charged to the budget as `explored`
+# the labelled candidates are those whose count is within the final bound
+# and whose new vertex lies in the first refined cell; every candidate
+# generated is charged to the budget as `explored`
 @pytest.mark.parametrize(
     "search,explored,labelled",
     [(lambda n=n: [min_saturating_at_jump(n, 3)], spent, lab) for n, spent, lab in
-     [(9, 185, 74), (10, 1001, 267), (11, 2929, 1018), (12, 7001, 1913)]]
+     [(9, 185, 65), (10, 1001, 204), (11, 2929, 683), (12, 7001, 1271)]]
     + [(lambda n=n: [min_saturating_at_jump(n, 4)], spent, lab) for n, spent, lab in
-       [(10, 187, 88), (11, 839, 429), (12, 2519, 871)]]
-    + [(lambda: list(min_saturating_table(7, 4, 12).values()), 703, 635)],
+       [(10, 187, 75), (11, 839, 331), (12, 2519, 638)]]
+    + [(lambda: list(min_saturating_table(7, 4, 12).values()), 703, 443)],
     ids=[f"jump-{n}-3" for n in (9, 10, 11, 12)] + [f"jump-{n}-4" for n in (10, 11, 12)] + ["table-7-4-12"],
 )
 def test_search_labels_only_candidates_within_the_final_bound(monkeypatch, search, explored, labelled):
@@ -618,6 +693,69 @@ def test_search_labels_only_candidates_within_the_final_bound(monkeypatch, searc
     final = _Levels(store.n, store.p, store.e_min, store.e_max, 10**9)
     final.classes(max(row.minimum for row in rows))
     assert (final.spent, final.labelled) == (explored, labelled)
+
+
+class UnfilteredLevels(_Levels):
+    """The level store without the first-cell deletion test: it labels every
+    waiting child within the bound."""
+
+    def classes(self, bound):
+        n, p = self.n, self.p
+        for k in range(1, n):
+            m_lo = -(-self.e_min * (k + 1) * k // (n * (n - 1)))
+            parents, done, children = self.levels[k - 1], self.expanded[k - 1], self.levels[k]
+            exact = True
+            for key in sorted(parents):
+                g, count = parents[key]
+                if key in done or count > bound:
+                    continue
+                done.add(key)
+                nbhds = _extensions(g, p, m_lo, self.e_max)
+                left = max(self.budget - self.spent, 0)
+                if left < len(nbhds):
+                    exact = False
+                    nbhds = nbhds[:left]
+                self.spent += len(nbhds)
+                sat = _saturating_masks(g, p)
+                self.waiting[k] += [(key, s, count + _count_delta(g, sat, s, p)) for s in nbhds]
+                if not exact:
+                    break
+            waiting, self.waiting[k] = self.waiting[k], []
+            for key, s, count in waiting:
+                if count > bound:
+                    self.waiting[k].append((key, s, count))
+                    continue
+                cg = canonical_graph(_extend(parents[key][0], s))
+                self.labelled += 1
+                children.setdefault(graph6_encode(cg), (cg, count))
+            if not exact:
+                return (self._within(k, bound) if k == n - 1 else {}), False
+        return self._within(n - 1, bound), True
+
+
+@pytest.mark.parametrize(
+    "search",
+    [lambda n=n: [min_saturating_at_jump(n, 3)] for n in range(3, 11)]
+    + [lambda n=n: [min_saturating_at_jump(n, 4)] for n in range(4, 11)]
+    + [lambda n=n: [min_saturating_constrained(n, 3)] for n in range(3, 10)]
+    + [lambda: list(min_saturating_table(7, 4, 12).values()), lambda: list(min_saturating_table(7, 3, 12).values())],
+    ids=[f"jump-{n}-3" for n in range(3, 11)]
+    + [f"jump-{n}-4" for n in range(4, 11)]
+    + [f"constrained-{n}-3" for n in range(3, 10)]
+    + ["table-7-4-12", "table-7-3-12"],
+)
+def test_first_cell_test_keeps_every_class(monkeypatch, search):
+    # skipping a child whose new vertex is outside the first refined cell
+    # loses no class: every level holds the same classes with the same
+    # counts as a store that labels every child within the bound
+    rows, store = deepening_store(monkeypatch, search)
+    full_rows, full = deepening_store(monkeypatch, search, UnfilteredLevels)
+    assert [row.to_dict() for row in rows] == [row.to_dict() for row in full_rows]
+    assert store.spent == full.spent
+    for level, full_level in zip(store.levels, full.levels):
+        assert {key: count for key, (_, count) in level.items()} == {key: count for key, (_, count) in full_level.items()}
+    assert store.waiting == full.waiting
+    assert store.labelled <= full.labelled
 
 
 def test_jump_minimum_at_13():
