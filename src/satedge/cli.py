@@ -131,10 +131,19 @@ def _read_graph(path: str, cap: int) -> Graph:
 def _emit_graph(g: Graph, fmt: str):
     if fmt == "graph6":
         print(graph6_encode(g))
-    elif fmt == "edges":
-        print(format_edge_list(g), end="")
     else:
-        raise ValueError(f"unknown graph format {fmt!r}")
+        print(format_edge_list(g), end="")
+
+
+# the flags each construction reads; all but --x, --y and --target are required
+_CONSTRUCT_FLAGS = {
+    "h0": ("p", "x"),
+    "h1": ("p", "x", "y"),
+    "h2": ("p", "x", "y"),
+    "base": ("p",),
+    "turan": ("n", "r"),
+    "trim": ("p", "x", "y", "target"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,15 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a named construction")
-    c.add_argument("name", choices=["h0", "h1", "h2", "base", "turan", "trim"])
+    c.add_argument("name", choices=list(_CONSTRUCT_FLAGS))
     c.add_argument("--p", type=int, help="clique parameter")
-    c.add_argument("--x", type=int, default=1, help="scale factor")
-    c.add_argument("--y", type=int, default=0, help="vertex remainder")
+    c.add_argument("--x", type=int, help="scale factor (default 1)")
+    c.add_argument("--y", type=int, help="vertex remainder (default 0)")
     c.add_argument("--n", type=int, help="vertex count (turan)")
     c.add_argument("--r", type=int, help="part count (turan)")
     c.add_argument("--target", type=int, help="edge target (trim); default extremal+1")
-    c.add_argument("--format", default="graph6", choices=["graph6", "edges"])
-    c.add_argument("--parts", action="store_true", help="emit the part map as JSON instead of the graph")
+    out = c.add_mutually_exclusive_group()
+    out.add_argument("--format", default="graph6", choices=["graph6", "edges"])
+    out.add_argument("--parts", action="store_true", help="emit the part map as JSON instead of the graph")
 
     k = sub.add_parser("count", help="count saturating edges")
     k.add_argument("--p", type=int, required=True)
@@ -168,10 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="exhaustive minimum saturating count")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--e", type=int)
     s.add_argument("--p", type=int, required=True)
-    s.add_argument("--at-jump", action="store_true", help="e = extremal count + 1, forbidding K_{p+1}")
-    s.add_argument("--constrained", action="store_true", help="extremal count, balanced multipartite excluded")
+    mode = s.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--e", type=int)
+    mode.add_argument("--at-jump", action="store_true", help="e = extremal count + 1, forbidding K_{p+1}")
+    mode.add_argument("--constrained", action="store_true", help="extremal count, balanced multipartite excluded")
     s.add_argument("--budget", type=int)
     s.add_argument("--emit-witnesses", action="store_true")
 
@@ -198,25 +209,28 @@ def _positive(flag: Optional[int], name: str, default: int) -> int:
 
 
 def _cmd_construct(args, cfg: Config) -> int:
+    reads = _CONSTRUCT_FLAGS[args.name]
+    for flag in ("p", "x", "y", "n", "r", "target"):
+        value = getattr(args, flag)
+        if value is not None and flag not in reads:
+            raise ConfigError(f"construct {args.name} does not read --{flag}")
+        if value is None and flag in reads and flag in ("p", "n", "r"):
+            raise ConfigError(f"construct {args.name} needs --{flag}")
+    x = 1 if args.x is None else args.x
+    y = 0 if args.y is None else args.y
     if args.name == "turan":
-        if args.n is None or args.r is None:
-            raise ConfigError("turan needs --n and --r")
         g = turan_graph(args.n, args.r)
         parts = None
     elif args.name == "base":
-        if args.p is None:
-            raise ConfigError("base needs --p")
         g = base_graph(args.p)
         parts = None
     else:
-        if args.p is None:
-            raise ConfigError(f"{args.name} needs --p")
         if args.name == "h0":
-            bu = h0(args.p, args.x)
+            bu = h0(args.p, x)
         elif args.name == "h1":
-            bu = h1(args.p, args.x, args.y)
+            bu = h1(args.p, x, y)
         else:
-            bu = h2(args.p, args.x, args.y)
+            bu = h2(args.p, x, y)
         parts = bu.parts
         g = None  # the blow-up is built only to be emitted or trimmed
         if args.name == "trim":
@@ -271,17 +285,11 @@ def _cmd_pack(args, cfg: Config) -> int:
 
 def _cmd_search(args, cfg: Config) -> int:
     budget = _positive(args.budget, "--budget", cfg.search_budget)
-    if args.at_jump and args.constrained:
-        raise ConfigError("--at-jump and --constrained are mutually exclusive")
-    if args.e is not None and (args.at_jump or args.constrained):
-        raise ConfigError("--e cannot be combined with --at-jump or --constrained, which fix e")
     if args.at_jump:
         result = min_saturating_at_jump(args.n, args.p, budget=budget)
     elif args.constrained:
         result = min_saturating_constrained(args.n, args.p, budget=budget)
     else:
-        if args.e is None:
-            raise ConfigError("search needs --e (or --at-jump / --constrained)")
         result = min_saturating(args.n, args.e, args.p, budget=budget)
     payload = result.to_dict()
     if not (args.emit_witnesses or cfg.emit_witnesses):

@@ -15,15 +15,16 @@ H, and (H - w) + uv lies inside H + uv.  So "at most U saturating edges"
 is hereditary, and generation by canonical deletion may drop every class
 above U at every level without losing a class within it (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  The
-bound deepens U = 0, 1, 2, ... in one loop for the single searches and
-the table alike: it stops at the first pass that reaches every edge count
-of its window, and that pass has the exact minimum of each and all its
-witnesses.  The passes of one search share their levels: a pass generates
-only the children of parents no earlier pass expanded, so each candidate
-is generated once per search.  A child's count is its parent's plus the
-pairs the new vertex makes saturating, so it is known before the child is
-labelled; a child above the bound waits unlabelled for a pass whose bound
-reaches it.  A child within the bound is labelled only if its new vertex
+bound deepens in one loop for the single searches and the table alike,
+from U = 0 to the least count of a waiting child each time: it stops at
+the first pass that reaches every edge count of its window, and that pass
+has the exact minimum of each and all its witnesses.  A child's count is
+its parent's plus the pairs the new vertex makes saturating, so it is
+known before the child is labelled; a child above the bound waits
+unlabelled, filed by count, for a pass whose bound reaches it.  The passes
+of one search share one store: a pass expands only the classes it labels
+and then drops them, so each candidate is generated once per search.  A
+child within the bound is labelled only if its new vertex
 lies in the first cell of its refinement, McKay's canonical-deletion test
 with that cell as the invariant: some isomorphic child passes it, so no
 class is lost.  The jump search then runs to n = 12 at p = 3 in about half
@@ -55,7 +56,7 @@ involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .graph import Graph, bits, graph6_encode
@@ -314,20 +315,23 @@ def _count_delta(g: Graph, sat: list[int], s: int, p: int) -> int:
 
 
 class _Levels:
-    """The classes of one search, level by level, kept from one pass of a
-    deepening count bound to the next.
+    """The classes of one search, level by level, over the passes of a
+    deepening count bound.
 
-    levels[k] maps the canonical key of each class on k + 1 vertices
-    labelled so far to (canonical graph, saturating count); expanded[k]
-    holds the keys whose children have been generated.  A pass expands
-    only the parents within its bound that no earlier pass expanded.  Each
-    child is counted before it is labelled, from its parent's count and
-    saturating pairs (`_count_delta`); a child above the pass's bound waits
-    unlabelled in waiting[k] as (parent key, mask, count) until a pass
-    whose bound reaches its count.  So each candidate is generated once per
-    search and labelled at most once.  The store also holds the search's
-    budget: `spent` counts the candidates generated so far by all passes
-    together and stays within max(budget, 0).
+    levels[k] maps the canonical key of each class on k + 1 vertices to
+    (canonical graph, saturating count).  A pass expands every class of
+    level k - 1, empties that level, and labels into level k the children
+    waiting within its bound; the top level, k = n - 1, keeps every pass's
+    classes.  A child is counted before it is labelled, from its parent's
+    count and saturating pairs (`_count_delta`), and waits in waiting[k],
+    filed by count as (parent graph, mask).  So a class is labelled, and
+    expanded, in the first pass whose bound reaches its count, and each
+    candidate is generated once per search and labelled at most once.  An
+    emptied level is never needed again: every copy of one of its classes
+    comes from a parent with at most its count, so it was generated before
+    the level was emptied.  The store also holds the search's budget:
+    `spent` counts the candidates generated by all passes together and
+    stays within max(budget, 0).
 
     A child (a class plus a vertex joined to a subset s) is kept only if
     the new vertex has minimum degree in it: every class H is the
@@ -342,8 +346,8 @@ class _Levels:
     `labelled` counts the labels.  Cells are ordered by degree, so the
     first holds only vertices of minimum degree, and which vertices it
     holds does not depend on the labels.  So every class H within the bound
-    has a vertex w in it; H - w is a stored parent within the bound and the
-    edge window (above), its orbit representative extended by N(w) is a
+    has a vertex w in it; H - w is a class within the bound and the edge
+    window (above), its orbit representative extended by N(w) is a
     candidate isomorphic to H, and an isomorphism takes the new vertex to
     w, into the first cell.  Skipping the other candidates loses no class.
     The budget is charged at generation, so `spent` does not change.
@@ -355,30 +359,25 @@ class _Levels:
         single = Graph(1, (0,))
         self.levels: list[dict[str, tuple[Graph, int]]] = [{graph6_encode(single): (single, 0)}]
         self.levels += [{} for _ in range(n - 1)]
-        self.expanded: list[set[str]] = [set() for _ in range(n)]
-        self.waiting: list[list[tuple[str, int, int]]] = [[] for _ in range(n)]
+        self.waiting: list[dict[int, list[tuple[Graph, int]]]] = [{} for _ in range(n)]
 
     def classes(self, bound: int) -> tuple[dict[str, tuple[Graph, int]], bool]:
         """One pass: the classes on n vertices with at most `bound` saturating
         edges, as key -> (graph, count) in key order; exact is False on
         budget exhaustion.
 
-        Count is hereditary and the edge window reads only the class, so
-        the classes on k vertices within a bound are the same whatever
-        bounds earlier passes had: the stored ones within it plus the
-        waiting and new children within it.
+        Bounds must increase from pass to pass, as `_deepen`'s do: a pass
+        expands only the classes it labels, so a lower bound labels nothing.
         """
         n, p = self.n, self.p
+        exact = True
         for k in range(1, n):
             # ceil(e_min * C(k+1, 2) / C(n, 2)); at least e_min - C(n, 2) + C(k+1, 2)
             m_lo = -(-self.e_min * (k + 1) * k // (n * (n - 1)))
-            parents, done, children = self.levels[k - 1], self.expanded[k - 1], self.levels[k]
-            exact = True
+            parents, self.levels[k - 1] = self.levels[k - 1], {}
+            waiting, children = self.waiting[k], self.levels[k]
             for key in sorted(parents):
                 g, count = parents[key]
-                if key in done or count > bound:
-                    continue
-                done.add(key)
                 nbhds = _extensions(g, p, m_lo, self.e_max)
                 left = max(self.budget - self.spent, 0)
                 if left < len(nbhds):
@@ -386,29 +385,27 @@ class _Levels:
                     nbhds = nbhds[:left]
                 self.spent += len(nbhds)
                 sat = _saturating_masks(g, p)
-                self.waiting[k] += [(key, s, count + _count_delta(g, sat, s, p)) for s in nbhds]
+                for s in nbhds:
+                    waiting.setdefault(count + _count_delta(g, sat, s, p), []).append((g, s))
                 if not exact:
                     break
-            waiting, self.waiting[k] = self.waiting[k], []
-            for key, s, count in waiting:
-                if count > bound:
-                    self.waiting[k].append((key, s, count))
-                    continue
-                child = _extend(parents[key][0], s)
-                cells = _refined_cells(child)
-                if k not in cells[0]:
-                    continue  # an isomorphic child whose new vertex is in cell 0 is kept
-                cg = _relabel(child, _canonical_ordering(child, cells))
-                self.labelled += 1
-                children.setdefault(graph6_encode(cg), (cg, count))
+            for count in sorted(c for c in waiting if c <= bound):
+                for g, s in waiting.pop(count):
+                    child = _extend(g, s)
+                    cells = _refined_cells(child)
+                    if k not in cells[0]:
+                        continue  # an isomorphic child whose new vertex is in cell 0 is kept
+                    cg = _relabel(child, _canonical_ordering(child, cells))
+                    self.labelled += 1
+                    children.setdefault(graph6_encode(cg), (cg, count))
             if not exact:
                 # a cut level cannot vouch for completeness of later ones
-                return (self._within(k, bound) if k == n - 1 else {}), False
-        return self._within(n - 1, bound), True
+                return (dict(sorted(children.items())) if k == n - 1 else {}), False
+        return dict(sorted(self.levels[n - 1].items())), True
 
-    def _within(self, k: int, bound: int) -> dict[str, tuple[Graph, int]]:
-        level = self.levels[k]
-        return {key: level[key] for key in sorted(level) if level[key][1] <= bound}
+    def next_bound(self) -> Optional[int]:
+        """The least count of a waiting child, or None when none waits."""
+        return min((count for waiting in self.waiting for count in waiting), default=None)
 
 
 @dataclass(frozen=True)
@@ -430,15 +427,7 @@ class SearchResult:
     exact: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "e": self.e,
-            "p": self.p,
-            "minimum": self.minimum,
-            "witnesses": list(self.witnesses),
-            "explored": self.explored,
-            "exact": self.exact,
-        }
+        return {**asdict(self), "witnesses": list(self.witnesses)}
 
 
 def _validate_instance(n: int, e: int, p: int):
@@ -500,25 +489,26 @@ def _deepen(
     excluded: Optional[str] = None,
 ) -> dict[int, SearchResult]:
     """One _minimise row per edge count e_min..e_max, from classes generated
-    in passes U = 0, 1, 2, ... that keep only those with at most U
-    saturating edges.
+    in passes that keep only those with at most U saturating edges.
 
-    The passes stop at the first that has a class (other than `excluded`)
-    for every edge count in the window.  That pass holds every minimiser of
-    every row, since each minimum is at most U, so each row is the one an
-    unpruned pass gives.  No class on k + 1 vertices has more than
-    C(k + 1, 2) - e_min * C(k + 1, 2) / C(n, 2) <= C(n, 2) - e_min non-edges,
-    so the pass at U = C(n, 2) - e_min prunes nothing and the passes end.
-    They share one level store and one budget, so `explored` counts each
-    candidate once, and running out returns that pass's partial rows with
-    exact=False.
+    U starts at 0 and then takes the least count of a waiting child
+    (`_Levels.next_bound`); a bound in between would label nothing.  The
+    passes stop at the first that has a class (other than `excluded`) for
+    every edge count in the window, or once no child waits, when every
+    class is generated.  The last pass holds every minimiser of every row,
+    since each minimum is at most U, so each row is the one an unpruned
+    pass gives.  The passes share one store and one budget, so `explored`
+    counts each candidate once, and running out returns that pass's partial
+    rows with exact=False.
     """
     window = range(e_min, e_max + 1)
     levels = _Levels(n, p, e_min, e_max, budget)
-    for bound in range(n * (n - 1) // 2 - e_min + 1):
+    bound: Optional[int] = 0
+    while bound is not None:
         classes, exact = levels.classes(bound)
         if not exact or {g.m for key, (g, _) in classes.items() if key != excluded}.issuperset(window):
             break
+        bound = levels.next_bound()
     return {e: _minimise(classes, n, e, p, levels.spent, exact, excluded) for e in window}
 
 
@@ -528,8 +518,8 @@ def min_saturating(n: int, e: int, p: int, budget: int = DEFAULT_SEARCH_BUDGET) 
     Exhaustive and exact up to the node budget; on exhaustion the partial
     minimum (or None) is returned with exact=False instead of guessing.
     Witnesses are canonical graph6 strings of every minimizing class.
-    Classes are generated in passes that keep only those with at most
-    U = 0, 1, 2, ... saturating edges, up to the first U that admits an
+    Classes are generated in passes that keep only those with at most U
+    saturating edges, for increasing U up to the first that admits an
     e-edge class; `explored` and the budget cover all passes, in which
     each candidate is generated once.
     """
@@ -541,8 +531,8 @@ def min_saturating_table(n: int, p: int, e_max: int, budget: int = DEFAULT_SEARC
     """min_saturating for every edge count 0..e_max from one deepening over
     the edge window [0, e_max].
 
-    The passes U = 0, 1, 2, ... stop at the first that has a class for every
-    edge count; every e up to e_max <= ex(n, K_p) has one, so they end.
+    The passes stop at the first that has a class for every edge count;
+    every e up to e_max <= ex(n, K_p) has one.
     """
     _validate_instance(n, e_max, p)
     return _deepen(n, p, 0, e_max, budget)

@@ -172,6 +172,28 @@ def test_construct_missing_arguments_exit_2(capsys):
     assert run(capsys, ["construct", "h1"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["construct", "h0", "--p", "3", "--y", "5"], "--y"),
+        (["construct", "turan", "--n", "5", "--r", "2", "--p", "9"], "--p"),
+        (["construct", "h1", "--p", "3", "--target", "7"], "--target"),
+        (["construct", "base", "--p", "3", "--x", "2"], "--x"),
+        (["construct", "h1", "--p", "3", "--parts", "--format", "edges"], "--format"),
+    ],
+)
+def test_construct_flag_it_does_not_read_exits_2(capsys, argv, flag):
+    # a flag the construction would drop is refused, by name, before any output
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses --format with --parts itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert flag in captured.err
+
+
 def test_unknown_construction_name_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "bogus", "--p", "3"])
@@ -348,17 +370,21 @@ def test_search_constrained(capsys, prism):
 
 
 def test_search_mode_conflicts_exit_2(capsys):
-    assert run(capsys, ["search", "--n", "6", "--p", "3", "--at-jump", "--constrained"])[0] == 2
-    assert run(capsys, ["search", "--n", "6", "--p", "3"])[0] == 2
+    for argv in (["search", "--n", "6", "--p", "3", "--at-jump", "--constrained"], ["search", "--n", "6", "--p", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 @pytest.mark.parametrize("mode", ["--at-jump", "--constrained"])
 def test_search_e_with_fixed_edge_mode_exits_2(capsys, mode):
     # both modes fix e themselves, so a given --e would be ignored
-    code, out, err = run(capsys, ["search", "--n", "5", "--p", "3", "--e", "3", mode])
-    assert code == 2
-    assert out == ""
-    assert "--e" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--n", "5", "--p", "3", "--e", "3", mode])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--e" in captured.err
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -657,14 +657,39 @@ def test_delta_count_matches_count_saturating(monkeypatch, search):
     assert len(counted) == rows[0].explored > 0
 
 
+class LevelLog(list):
+    """A store's levels that log, as (level, {key: count}), each level a pass
+    empties after expanding it."""
+
+    def __init__(self, levels):
+        super().__init__(levels)
+        self.log = []
+
+    def __setitem__(self, k, level):
+        self.log.append((k, {key: count for key, (_, count) in self[k].items()}))
+        super().__setitem__(k, level)
+
+
 def deepening_store(monkeypatch, search, store_class=_Levels):
-    """The search's rows and the one level store its deepening built."""
+    """The search's rows and the one level store its deepening built; the
+    store records each pass's bound and labels, and its levels log every
+    pass's classes (the top level's as each pass ends)."""
     stores = []
 
     class RecordedLevels(store_class):
         def __init__(self, *args):
             super().__init__(*args)
+            self.bounds, self.labels = [], []
+            self.levels = LevelLog(self.levels)
             stores.append(self)
+
+        def classes(self, bound):
+            self.bounds.append(bound)
+            before = self.labelled
+            result = super().classes(bound)
+            self.labels.append(self.labelled - before)
+            self.levels.log.append((self.n - 1, {key: count for key, (_, count) in self.levels[-1].items()}))
+            return result
 
     monkeypatch.setattr(search_module, "_Levels", RecordedLevels)
     result = search()
@@ -701,15 +726,13 @@ class UnfilteredLevels(_Levels):
 
     def classes(self, bound):
         n, p = self.n, self.p
+        exact = True
         for k in range(1, n):
             m_lo = -(-self.e_min * (k + 1) * k // (n * (n - 1)))
-            parents, done, children = self.levels[k - 1], self.expanded[k - 1], self.levels[k]
-            exact = True
+            parents, self.levels[k - 1] = self.levels[k - 1], {}
+            waiting, children = self.waiting[k], self.levels[k]
             for key in sorted(parents):
                 g, count = parents[key]
-                if key in done or count > bound:
-                    continue
-                done.add(key)
                 nbhds = _extensions(g, p, m_lo, self.e_max)
                 left = max(self.budget - self.spent, 0)
                 if left < len(nbhds):
@@ -717,20 +740,18 @@ class UnfilteredLevels(_Levels):
                     nbhds = nbhds[:left]
                 self.spent += len(nbhds)
                 sat = _saturating_masks(g, p)
-                self.waiting[k] += [(key, s, count + _count_delta(g, sat, s, p)) for s in nbhds]
+                for s in nbhds:
+                    waiting.setdefault(count + _count_delta(g, sat, s, p), []).append((g, s))
                 if not exact:
                     break
-            waiting, self.waiting[k] = self.waiting[k], []
-            for key, s, count in waiting:
-                if count > bound:
-                    self.waiting[k].append((key, s, count))
-                    continue
-                cg = canonical_graph(_extend(parents[key][0], s))
-                self.labelled += 1
-                children.setdefault(graph6_encode(cg), (cg, count))
+            for count in sorted(c for c in waiting if c <= bound):
+                for g, s in waiting.pop(count):
+                    cg = canonical_graph(_extend(g, s))
+                    self.labelled += 1
+                    children.setdefault(graph6_encode(cg), (cg, count))
             if not exact:
-                return (self._within(k, bound) if k == n - 1 else {}), False
-        return self._within(n - 1, bound), True
+                return (dict(sorted(children.items())) if k == n - 1 else {}), False
+        return dict(sorted(self.levels[n - 1].items())), True
 
 
 @pytest.mark.parametrize(
@@ -746,16 +767,46 @@ class UnfilteredLevels(_Levels):
 )
 def test_first_cell_test_keeps_every_class(monkeypatch, search):
     # skipping a child whose new vertex is outside the first refined cell
-    # loses no class: every level holds the same classes with the same
-    # counts as a store that labels every child within the bound
+    # loses no class: every pass puts the same classes with the same counts
+    # on every level as a store that labels every child within the bound
     rows, store = deepening_store(monkeypatch, search)
     full_rows, full = deepening_store(monkeypatch, search, UnfilteredLevels)
     assert [row.to_dict() for row in rows] == [row.to_dict() for row in full_rows]
     assert store.spent == full.spent
-    for level, full_level in zip(store.levels, full.levels):
-        assert {key: count for key, (_, count) in level.items()} == {key: count for key, (_, count) in full_level.items()}
+    assert store.bounds == full.bounds
+    # each pass empties the n - 1 levels below the top, then logs the top
+    assert len(store.levels.log) == len(store.bounds) * store.n
+    assert store.levels.log == full.levels.log
     assert store.waiting == full.waiting
     assert store.labelled <= full.labelled
+
+
+@pytest.mark.parametrize(
+    "search,bounds",
+    [
+        (lambda: [min_saturating(7, 12, 3)], [0, 1, 2, 4, 6, 9]),
+        (lambda: [min_saturating_at_jump(12, 3)], list(range(8))),
+        (lambda: list(min_saturating_table(7, 4, 12).values()), None),
+    ],
+    ids=["min-7-12-3", "jump-12-3", "table-7-4-12"],
+)
+def test_deepening_jumps_to_the_least_waiting_count(monkeypatch, search, bounds):
+    # each pass after the first takes the least count of a waiting child,
+    # so every pass labels a class, and the bounds increase
+    rows, store = deepening_store(monkeypatch, search)
+    assert all(row.exact for row in rows)
+    if bounds is not None:
+        assert store.bounds == bounds
+    assert store.bounds[0] == 0 and store.bounds == sorted(set(store.bounds))
+    assert all(store.labels)
+
+
+def test_deepening_ends_when_no_child_waits(monkeypatch):
+    # the one 3-vertex graph with 2 edges is the excluded path, so no pass
+    # covers the window, and the search ends once nothing waits
+    (row,), store = deepening_store(monkeypatch, lambda: [min_saturating_constrained(3, 3)])
+    assert store.bounds == [0] and store.next_bound() is None
+    assert (row.minimum, row.witnesses, row.exact, row.explored) == (None, (), True, 2)
 
 
 def test_jump_minimum_at_13():
