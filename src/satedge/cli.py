@@ -8,6 +8,7 @@ stderr.  Exit codes: 0 success, 1 check failure, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -332,8 +333,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads, built on first use and kept for the process:
+    parsing leaves it unchanged, and its defaults are immutable."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args, load_config(args.config))
     except BudgetExceededError as exc:

@@ -229,7 +229,8 @@ def trim_to_target(bu: Blowup, target: int) -> Graph:
 
 def check_construction_edge_identity(n: int, p: int) -> bool:
     """turan_number(n,p) == (p-2)n^2/(2(p-1)) - turan_defect(n,p), exactly."""
-    lhs = Fraction(turan_number(n, p))
-    rhs = Fraction((p - 2) * n * n, 2 * (p - 1)) - turan_defect(n, p)
-    return lhs == rhs
+    d = turan_defect(n, p)
+    # the identity multiplied through by 2(p-1) and by d.denominator, in ints
+    gap = (p - 2) * n * n - 2 * (p - 1) * turan_number(n, p)
+    return gap * d.denominator == 2 * (p - 1) * d.numerator
 

@@ -4,12 +4,18 @@ Everything here is a pure function of small integers and Fractions.  The
 recurring quantity Q = 4p^2 - 11p + 8 is the polynomial that shows up in the
 construction modulus and in every density bound.  Decimal coefficients are
 exact tenths; no binary floating point enters any computation.
+
+The positivity polynomials and the density quadratic are evaluated at a
+rational argument a/b with the denominators cleared: each homogenised integer
+polynomial, for instance 10 b^5 f(a/b), is computed in ints and divided out
+once, so every call builds one Fraction.  A float argument raises TypeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
 from .constructions import modulus
 
@@ -184,28 +190,53 @@ def density_threshold_low(p: int) -> Fraction:
     return Fraction(1, 40 * p * (p - 2) * (2 * p - 3))
 
 
+def _ratio(p: Fraction | int) -> tuple[int, int]:
+    """p = a/b in lowest terms with b > 0.  A float is refused: it is a binary
+    fraction, not the decimal it was written as."""
+    if not isinstance(p, Rational):
+        raise TypeError(f"exact forms take an int or Fraction, not {type(p).__name__}")
+    return p.numerator, p.denominator
+
+
+def _f10(a: int, b: int) -> int:
+    """10 b^5 f(a/b) from the factored form of f, an integer."""
+    product = a * (40 * a * a - 160 * a * b + 159 * b * b) * (4 * a * a - 11 * a * b + 8 * b * b)
+    return product - 160 * (a - b) ** 3 * (a - 2 * b) ** 2
+
+
 def positivity_poly_f(p: Fraction | int) -> Fraction:
     """p(4p^2-16p+15.9)(4p^2-11p+8) - 16(p-1)^3(p-2)^2, with 15.9 = 159/10."""
-    p = Fraction(p)
-    return p * (4 * p * p - 16 * p + Fraction(159, 10)) * (4 * p * p - 11 * p + 8) - 16 * (p - 1) ** 3 * (p - 2) ** 2
+    a, b = _ratio(p)
+    return Fraction(_f10(a, b), 10 * b ** 5)
 
 
 def positivity_poly_f_expanded(p: Fraction | int) -> Fraction:
     """4p^4 - 32.4p^3 + 97.1p^2 - 128.8p + 64 with exact-tenth coefficients."""
-    p = Fraction(p)
-    return 4 * p ** 4 - Fraction(162, 5) * p ** 3 + Fraction(971, 10) * p * p - Fraction(644, 5) * p + 64
+    a, b = _ratio(p)
+    return Fraction(
+        40 * a ** 4 - 324 * a ** 3 * b + 971 * a * a * b * b - 1288 * a * b ** 3 + 640 * b ** 4,
+        10 * b ** 4,
+    )
 
 
 def positivity_poly_g(p: Fraction | int) -> Fraction:
     """120p * positivity_poly_f(p) - (p-1)^3(4p^2+p-8)."""
-    p = Fraction(p)
-    return 120 * p * positivity_poly_f(p) - (p - 1) ** 3 * (4 * p * p + p - 8)
+    a, b = _ratio(p)
+    return Fraction(12 * a * _f10(a, b) - b * (a - b) ** 3 * (4 * a * a + a * b - 8 * b * b), b ** 6)
 
 
 def positivity_poly_g_expanded(p: Fraction | int) -> Fraction:
     """476p^5 - 3877p^4 + 11651p^3 - 15479p^2 + 7705p - 8."""
-    p = Fraction(p)
-    return 476 * p ** 5 - 3877 * p ** 4 + 11651 * p ** 3 - 15479 * p * p + 7705 * p - 8
+    a, b = _ratio(p)
+    return Fraction(
+        476 * a ** 5
+        - 3877 * a ** 4 * b
+        + 11651 * a ** 3 * b * b
+        - 15479 * a * a * b ** 3
+        + 7705 * a * b ** 4
+        - 8 * b ** 5,
+        b ** 5,
+    )
 
 
 def positivity_sweep(p_max: int) -> tuple[Fraction, Fraction]:
@@ -231,25 +262,31 @@ def positivity_sweep(p_max: int) -> tuple[Fraction, Fraction]:
     return Fraction(min_f10, 10), Fraction(min_g)
 
 
+def _quadratic_coefficients(n: int, p: int) -> tuple[int, int, int]:
+    """(A, B, C) with density_quadratic(n, p, r) = A r^2 - B r + C."""
+    q = _q(p)
+    return (
+        p * p * q * q * n * n,
+        4 * p * (p - 2) ** 2 * q * n * n + 2 * p * p * (p - 1) ** 2 * q * n,
+        4 * p * (p - 2) ** 2 * q * n * n - 4 * p * (p - 1) ** 2 * (p - 2) * q * n,
+    )
+
+
 def density_quadratic(n: int, p: int, r: Fraction) -> Fraction:
     """The scaled combined lower bound as a quadratic in r.
 
     H(r) = p^2 Q^2 n^2 r^2 - (4p(p-2)^2 Q n^2 + 2p^2(p-1)^2 Q n) r
            + 4p(p-2)^2 Q n^2 - 4p(p-1)^2(p-2) Q n.
+    Evaluated at r = a/b as (A a^2 - B a b + C b^2) / b^2.
     """
-    q = _q(p)
-    return (
-        p * p * q * q * n * n * r * r
-        - (4 * p * (p - 2) ** 2 * q * n * n + 2 * p * p * (p - 1) ** 2 * q * n) * r
-        + 4 * p * (p - 2) ** 2 * q * n * n
-        - 4 * p * (p - 1) ** 2 * (p - 2) * q * n
-    )
+    lead, lin, const = _quadratic_coefficients(n, p)
+    a, b = _ratio(r)
+    return Fraction(lead * a * a - lin * a * b + const * b * b, b * b)
 
 
 def density_quadratic_minimizer(n: int, p: int) -> Fraction:
     """r* = 2(p-2)^2/(pQ) + (p-1)^2/(Qn), the vertex of density_quadratic."""
-    q = _q(p)
-    return Fraction(2 * (p - 2) ** 2, p * q) + Fraction((p - 1) ** 2, q * n)
+    return Fraction(2 * (p - 2) ** 2 * n + p * (p - 1) ** 2, p * _q(p) * n)
 
 
 def density_quadratic_floor(n: int, p: int) -> Fraction:
@@ -273,14 +310,12 @@ def check_density_quadratic_identity(p: int, n: int) -> tuple[bool, Fraction, Fr
     """
     if p < 3 or n < 1:
         raise ValueError("need p >= 3 and n >= 1")
-    q = _q(p)
     r_star = density_quadratic_minimizer(n, p)
     value = density_quadratic(n, p, r_star)
     floor = density_quadratic_floor(n, p)
-    lead = Fraction(p * p * q * q * n * n)
-    lin = Fraction(4 * p * (p - 2) ** 2 * q * n * n + 2 * p * p * (p - 1) ** 2 * q * n)
-    derivative = 2 * lead * r_star - lin
-    holds = value == floor and derivative == 0 and lead > 0
+    lead, lin, _ = _quadratic_coefficients(n, p)
+    # H'(r*) = 2 A r* - B vanishes, cleared of r*'s denominator
+    holds = value == floor and 2 * lead * r_star.numerator == lin * r_star.denominator and lead > 0
     return holds, value, floor
 
 

@@ -18,8 +18,10 @@ on the quotient's base.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, pairwise
 from typing import Iterable, Iterator, Optional
 
 VertexSet = int  # bitmask over 0..n-1
@@ -294,8 +296,20 @@ def enumerate_cliques(g: Graph, p: int, mask: Optional[VertexSet] = None) -> Ite
 
 
 # graph6 interchange format (canonical ASCII encoding of simple graphs).
+# The body is the upper triangle read column by column, row 0 first, six bits
+# to a character (value + 63).  Both directions work on whole integers, with
+# no Python step per bit: the triangle is one int whose bit i is stream bit i;
+# `to_bytes` and a per-byte bit reversal give the stream most significant bit
+# first, and base64 cuts that into the same 6-bit groups (graph6 is base64
+# over the alphabet 63..126).  Decoding pads each column to n bits, so that a
+# vertex's higher neighbours, a row of the triangle, are one strided slice.
 
 _G6_LONG = 126  # '~' prefix for the >= 63 vertex form
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6 = bytes(range(63, 127))
+_B64_TO_G6 = bytes.maketrans(_B64, _G6)
+_G6_TO_B64 = bytes.maketrans(_G6, _B64)
+_REVERSE_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
 def graph6_encode(g: Graph) -> str:
@@ -306,22 +320,13 @@ def graph6_encode(g: Graph) -> str:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         raise ValueError("graph too large for supported graph6 forms")
-    bit_chunks = []
-    acc = 0
-    nbits = 0
-    for col in range(1, n):
-        col_adj = g.adj[col]
-        for row in range(col):
-            acc = (acc << 1) | (col_adj >> row & 1)
-            nbits += 1
-            if nbits == 6:
-                bit_chunks.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        bit_chunks.append(chr(acc + 63))
-    return head + "".join(bit_chunks)
+    adj = g.adj
+    stream = 0  # bit i is stream bit i: columns in order, each row 0 first
+    for col in range(n - 1, 0, -1):
+        stream = (stream << col) | (adj[col] & ((1 << col) - 1))
+    chars = (n * (n - 1) // 2 + 5) // 6
+    raw = stream.to_bytes((chars + 3) // 4 * 3, "little").translate(_REVERSE_BITS)
+    return head + binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)[:chars].decode()
 
 
 def graph6_decode(text: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
@@ -330,37 +335,37 @@ def graph6_decode(text: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise ValueError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(d < 0 or d > 63 for d in data):
+    data = s.encode("utf-8", "surrogatepass")  # a non-ASCII character gives bytes >= 128
+    if data.translate(None, _G6):  # a byte outside 63..126 is left
         raise ValueError("malformed graph6: byte out of printable range")
-    if data[0] == _G6_LONG - 63:
-        if len(data) >= 2 and data[1] == _G6_LONG - 63:
+    if data[0] == _G6_LONG:
+        if len(data) >= 2 and data[1] == _G6_LONG:
             raise ValueError("graph6 8-byte order form not supported")
         if len(data) < 4:
             raise ValueError("malformed graph6: truncated long-form order")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         body = data[4:]
     else:
-        n = data[0]
+        n = data[0] - 63
         body = data[1:]
     if n > cap:
         raise ValueError(f"graph6 order {n} exceeds cap {cap}")
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise ValueError("malformed graph6: wrong body length")
-    adj = [0] * n
-    idx = 0
-    for col in range(1, n):
-        for row in range(col):
-            if body[idx // 6] >> (5 - idx % 6) & 1:
-                adj[row] |= 1 << col
-                adj[col] |= 1 << row
-            idx += 1
-    while idx < 6 * len(body):
-        if body[idx // 6] >> (5 - idx % 6) & 1:
-            raise ValueError("malformed graph6: nonzero padding")
-        idx += 1
-    return Graph(n, tuple(adj))
+    # "A" is base64's zero, padding the body to whole 4-character groups
+    raw = binascii.a2b_base64(body.translate(_G6_TO_B64) + b"A" * (-len(body) % 4))
+    stream = int.from_bytes(raw.translate(_REVERSE_BITS), "little")  # bit i is stream bit i
+    if stream >> need:
+        raise ValueError("malformed graph6: nonzero padding")
+    # digits holds columns n-1, ..., 1, 0 in turn, column c being c bits long;
+    # padded to n bits each, they make an n x n square in which vertex v's
+    # column is one block (its lower neighbours) and its row one stride (its
+    # higher neighbours), both most significant bit first
+    digits = format(stream, f"0{need}b")
+    square = "".join([digits[i:j].rjust(n, "0") for i, j in pairwise(accumulate(range(n - 1, -1, -1), initial=0))])
+    adj = tuple([int(square[(n - 1 - v) * n : (n - v) * n], 2) | int(square[n - 1 - v :: n], 2) for v in range(n)])
+    return Graph(n, adj)
 
 
 def format_edge_list(g: Graph) -> str:

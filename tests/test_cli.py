@@ -1,9 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from satedge.cli import Config, ConfigError, load_config, main
+from satedge.cli import Config, ConfigError, build_parser, load_config, main
 from satedge import constructions
 from satedge.constructions import h1, turan_number
 from satedge.formulas import (
@@ -86,6 +90,34 @@ def test_unknown_or_missing_command_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["bogus"],
+        ["construct", "h1", "--p", "3", "--x", "2", "--format", "edges", "--parts"],
+        ["construct", "h1", "--p", "x"],
+        ["search", "--n", "5", "--p", "3", "--e", "6", "--at-jump"],
+    ],
+)
+def test_argparse_error_leaves_main_as_a_fresh_process_finds_it(capsys, bad):
+    # main keeps one parser per process: a failed parse must leave no trace
+    good = ["construct", "h1", "--p", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, good)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run([sys.executable, "-m", "satedge", *good], capture_output=True, text=True, env=env)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert code == 0 and out.strip()
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):

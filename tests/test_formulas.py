@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from satedge.constructions import turan_defect, turan_number
+from satedge import constructions
+from satedge.constructions import check_construction_edge_identity, turan_defect, turan_number
 from satedge.formulas import (
     attachment_fraction_bound,
     best_clique_edge_bound,
@@ -219,3 +221,120 @@ def test_turan_defect_small_periodic():
             assert turan_defect(k * (p - 1), p) == 0
         assert turan_defect(k * (p - 1) + 1, p) > 0
         assert turan_number(12, p) == Fraction(p - 2, 2 * (p - 1)) * 144 - turan_defect(12, p)
+
+
+# The Fraction expressions that the integer kernels replaced, kept as the
+# reference: two equally wrong rewrites would still agree with each other.
+def fraction_poly_f(p):
+    p = Fraction(p)
+    return p * (4 * p * p - 16 * p + Fraction(159, 10)) * (4 * p * p - 11 * p + 8) - 16 * (p - 1) ** 3 * (p - 2) ** 2
+
+
+def fraction_poly_f_expanded(p):
+    p = Fraction(p)
+    return 4 * p**4 - Fraction(162, 5) * p**3 + Fraction(971, 10) * p * p - Fraction(644, 5) * p + 64
+
+
+def fraction_poly_g(p):
+    p = Fraction(p)
+    return 120 * p * fraction_poly_f(p) - (p - 1) ** 3 * (4 * p * p + p - 8)
+
+
+def fraction_poly_g_expanded(p):
+    p = Fraction(p)
+    return 476 * p**5 - 3877 * p**4 + 11651 * p**3 - 15479 * p * p + 7705 * p - 8
+
+
+def fraction_density_quadratic(n, p, r):
+    q = 4 * p * p - 11 * p + 8
+    return (
+        p * p * q * q * n * n * r * r
+        - (4 * p * (p - 2) ** 2 * q * n * n + 2 * p * p * (p - 1) ** 2 * q * n) * r
+        + 4 * p * (p - 2) ** 2 * q * n * n
+        - 4 * p * (p - 1) ** 2 * (p - 2) * q * n
+    )
+
+
+def fraction_edge_identity(n, p):
+    return Fraction(turan_number(n, p)) == Fraction((p - 2) * n * n, 2 * (p - 1)) - turan_defect(n, p)
+
+
+def seeded_rationals(count, seed):
+    """Signed rationals with denominators up to 10^12, some near zero."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        den = rng.choice([rng.randrange(1, 50), rng.randrange(1, 10**12)])
+        out.append(Fraction(rng.randrange(-(10**14), 10**14), den))
+    return out
+
+
+POLYNOMIALS = [
+    (positivity_poly_f, fraction_poly_f),
+    (positivity_poly_f_expanded, fraction_poly_f_expanded),
+    (positivity_poly_g, fraction_poly_g),
+    (positivity_poly_g_expanded, fraction_poly_g_expanded),
+]
+
+
+@pytest.mark.parametrize("kernel,reference", POLYNOMIALS, ids=lambda f: getattr(f, "__name__", ""))
+def test_polynomials_match_fraction_reference(kernel, reference):
+    points = list(range(-100, 101)) + seeded_rationals(500, seed=21)
+    for p in points:
+        value = kernel(p)
+        assert type(value) is Fraction
+        assert value == reference(p), p
+
+
+@pytest.mark.parametrize("kernel", [f for f, _ in POLYNOMIALS], ids=lambda f: f.__name__)
+def test_polynomials_refuse_floats(kernel):
+    # Fraction(0.1) would silently be 3602879701896397/2^55, not 1/10
+    for p in (0.1, 3.0, float("nan")):
+        with pytest.raises(TypeError):
+            kernel(p)
+
+
+def test_density_quadratic_matches_fraction_reference():
+    rs = seeded_rationals(100, seed=22) + [Fraction(k, 7) for k in range(-3, 4)]
+    for p in (3, 4, 7, 20):
+        for n in (1, 2, 66, 10**6):
+            rs_here = rs + [density_quadratic_minimizer(n, p)]
+            for r in rs_here:
+                assert density_quadratic(n, p, r) == fraction_density_quadratic(n, p, r), (n, p, r)
+    with pytest.raises(TypeError):
+        density_quadratic(66, 3, 0.06)
+
+
+def test_density_quadratic_minimizer_matches_fraction_reference():
+    for p in range(3, 51):
+        for n in (1, 2, 66, 10**6):
+            q = 4 * p * p - 11 * p + 8
+            want = Fraction(2 * (p - 2) ** 2, p * q) + Fraction((p - 1) ** 2, q * n)
+            assert density_quadratic_minimizer(n, p) == want
+
+
+def test_edge_identity_matches_fraction_reference():
+    for p in range(3, 13):
+        for n in range(0, 200):
+            assert check_construction_edge_identity(n, p) is fraction_edge_identity(n, p) is True
+
+
+def test_edge_identity_rejects_a_wrong_defect(monkeypatch):
+    # the cross-multiplied form still compares against turan_defect
+    monkeypatch.setattr(constructions, "turan_defect", lambda n, p: Fraction(1, 3))
+    assert not check_construction_edge_identity(12, 3)
+
+
+def test_formula_table_matches_fraction_reference():
+    rows = formula_table(3, 60)
+    for row in rows:
+        p = row["p"]
+        assert row == {
+            "p": p,
+            "leading_coefficient": Fraction(2 * (p - 2) ** 2, p * (4 * p * p - 11 * p + 8)),
+            "threshold_low": Fraction(1, 40 * p * (p - 2) * (2 * p - 3)),
+            "threshold_high": Fraction(2 * (p - 2) * (2 * p - 3), p * (4 * p * p - 11 * p + 8)),
+            "poly_f": fraction_poly_f(p),
+            "poly_g": fraction_poly_g(p),
+        }
+        assert [type(v) for v in row.values()] == [int] + [Fraction] * 5

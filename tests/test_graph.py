@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satedge.constructions import h1
 from satedge.graph import (
     DEFAULT_VERTEX_CAP,
+    Graph,
     build_graph,
     common_neighborhood,
     contains_clique,
@@ -165,6 +167,160 @@ def test_graph6_matches_networkx(g):
 @given(random_graph_strategy())
 def test_graph6_round_trip(g):
     assert graph6_decode(graph6_encode(g)).adj == g.adj
+
+
+def per_bit_graph6_encode(g):
+    """The per-bit encoder that graph6_encode replaced, kept as the reference."""
+    n = g.n
+    if n < 63:
+        head = chr(n + 63)
+    elif n <= 258047:
+        head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    else:
+        raise ValueError("graph too large for supported graph6 forms")
+    chunks, acc, nbits = [], 0, 0
+    for col in range(1, n):
+        for row in range(col):
+            acc = (acc << 1) | (g.adj[col] >> row & 1)
+            nbits += 1
+            if nbits == 6:
+                chunks.append(chr(acc + 63))
+                acc, nbits = 0, 0
+    if nbits:
+        chunks.append(chr((acc << (6 - nbits)) + 63))
+    return head + "".join(chunks)
+
+
+def per_bit_graph6_decode(text, cap=DEFAULT_VERTEX_CAP):
+    """The per-bit decoder that graph6_decode replaced, kept as the reference
+    with its error messages."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise ValueError("empty graph6 string")
+    data = [ord(c) - 63 for c in s]
+    if any(d < 0 or d > 63 for d in data):
+        raise ValueError("malformed graph6: byte out of printable range")
+    if data[0] == 63:
+        if len(data) >= 2 and data[1] == 63:
+            raise ValueError("graph6 8-byte order form not supported")
+        if len(data) < 4:
+            raise ValueError("malformed graph6: truncated long-form order")
+        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        body = data[4:]
+    else:
+        n = data[0]
+        body = data[1:]
+    if n > cap:
+        raise ValueError(f"graph6 order {n} exceeds cap {cap}")
+    need = n * (n - 1) // 2
+    if len(body) != (need + 5) // 6:
+        raise ValueError("malformed graph6: wrong body length")
+    adj = [0] * n
+    idx = 0
+    for col in range(1, n):
+        for row in range(col):
+            if body[idx // 6] >> (5 - idx % 6) & 1:
+                adj[row] |= 1 << col
+                adj[col] |= 1 << row
+            idx += 1
+    while idx < 6 * len(body):
+        if body[idx // 6] >> (5 - idx % 6) & 1:
+            raise ValueError("malformed graph6: nonzero padding")
+        idx += 1
+    return tuple(adj)
+
+
+def seeded_graphs(orders, seed):
+    """One random graph per order, each with its own edge density."""
+    rng = random.Random(seed)
+    for n in orders:
+        density = rng.random()
+        yield build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+
+
+def networkx_graph6(g):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return nx.to_graph6_bytes(h, header=False).decode().strip()
+
+
+# the long form starts at n = 63; 62 is the last short-form order
+LONG_FORM_ORDERS = [0, 1, 62] + list(range(63, 131))
+
+
+def test_graph6_matches_networkx_in_the_long_form():
+    nx = pytest.importorskip("networkx")
+    for g in seeded_graphs(LONG_FORM_ORDERS, seed=63):
+        text = graph6_encode(g)
+        assert text == networkx_graph6(g), g.n
+        assert text.startswith("~") == (g.n >= 63)
+        h = nx.from_graph6_bytes(text.encode())
+        assert sorted(tuple(sorted(e)) for e in h.edges()) == list(g.edges())
+        assert graph6_decode(text).adj == g.adj
+
+
+@pytest.mark.parametrize("y", range(4))
+def test_graph6_matches_networkx_on_h1_hosts(y):
+    g = h1(4, 1, y).graph  # n = 336 + y
+    text = graph6_encode(g)
+    assert text == networkx_graph6(g)
+    assert graph6_decode(text).adj == g.adj
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graph_strategy())
+def test_graph6_matches_per_bit_reference(g):
+    text = graph6_encode(g)
+    assert text == per_bit_graph6_encode(g)
+    assert graph6_decode(text).adj == per_bit_graph6_decode(text) == g.adj
+
+
+def test_graph6_matches_per_bit_reference_up_to_130():
+    for g in seeded_graphs(range(131), seed=130):
+        text = graph6_encode(g)
+        assert text == per_bit_graph6_encode(g), g.n
+        assert graph6_decode(text).adj == per_bit_graph6_decode(text) == g.adj, g.n
+
+
+# surrounding space, the optional header, and the long form used for n < 63
+@pytest.mark.parametrize("text", ["  Dhc\n", ">>graph6<<Dhc", "~???", "~??@", "~??Dhc"])
+def test_graph6_unusual_but_valid_inputs_match_per_bit_reference(text):
+    assert graph6_decode(text).adj == per_bit_graph6_decode(text)
+
+
+@pytest.mark.parametrize(
+    "text,cap,message",
+    [
+        ("", DEFAULT_VERTEX_CAP, "empty graph6 string"),
+        (">>graph6<<", DEFAULT_VERTEX_CAP, "empty graph6 string"),
+        ("Dh c", DEFAULT_VERTEX_CAP, "malformed graph6: byte out of printable range"),
+        ("Dh\x7f", DEFAULT_VERTEX_CAP, "malformed graph6: byte out of printable range"),
+        ("Dh\u00e9", DEFAULT_VERTEX_CAP, "malformed graph6: byte out of printable range"),
+        ("Dh\ud800", DEFAULT_VERTEX_CAP, "malformed graph6: byte out of printable range"),
+        ("~~??????", DEFAULT_VERTEX_CAP, "graph6 8-byte order form not supported"),
+        ("~??", DEFAULT_VERTEX_CAP, "malformed graph6: truncated long-form order"),
+        ("D??", 4, "graph6 order 5 exceeds cap 4"),
+        ("Dh", DEFAULT_VERTEX_CAP, "malformed graph6: wrong body length"),
+        ("Dhcc", DEFAULT_VERTEX_CAP, "malformed graph6: wrong body length"),
+        ("Dh@", DEFAULT_VERTEX_CAP, "malformed graph6: nonzero padding"),
+        ("A`", DEFAULT_VERTEX_CAP, "malformed graph6: nonzero padding"),
+    ],
+)
+def test_graph6_decode_rejects_malformed_input(text, cap, message):
+    for decode in (graph6_decode, per_bit_graph6_decode):
+        with pytest.raises(ValueError) as exc:
+            decode(text, cap=cap)
+        assert str(exc.value) == message
+
+
+def test_graph6_encode_rejects_orders_past_the_long_form():
+    n = 258048
+    with pytest.raises(ValueError, match="graph too large for supported graph6 forms"):
+        graph6_encode(Graph(n, (0,) * n))
 
 
 @settings(max_examples=100, deadline=None)

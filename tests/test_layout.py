@@ -7,6 +7,7 @@ No module or script uses `assert`, which `python -O` strips: checks raise a
 named error or count as a failure instead.  Importing the package and its
 CLI loads no `multiprocessing`: only a call that starts a worker pool does.
 Every private function, class and method is used somewhere in the package.
+The exact-arithmetic modules hold no float literal and call no `float(...)`.
 """
 
 import ast
@@ -88,6 +89,22 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} uses assert on line(s) {lines}"
+
+
+EXACT_MODULES = ("formulas.py", "constructions.py")
+
+
+@pytest.mark.parametrize("name", EXACT_MODULES)
+def test_exact_modules_use_no_floats(name):
+    path = PACKAGE / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append(f"{name}:{node.lineno} float literal {node.value!r}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append(f"{name}:{node.lineno} float(...) call")
+    assert not found, "\n".join(found)
 
 
 def test_import_loads_no_multiprocessing():

@@ -345,8 +345,11 @@ def test_jump_search_work_counter(n, explored):
     assert min_saturating_at_jump(n, 3).explored == explored
 
 
-# the witnesses the full-round backtracking labelling gave; n = 12 is a
-# regression pin of the deepening search, which no unpruned run has checked
+# the witnesses the full-round backtracking labelling gave.  At n = 11 and 12
+# a check without the count prune (every class on n - 1 vertices in the
+# density window, each top-level candidate counted) found the same minima and
+# witnesses; it shares the generator and `_count_delta`, so it is not
+# independent of them
 @pytest.mark.parametrize(
     "n,minimum,witnesses",
     [
@@ -360,6 +363,39 @@ def test_jump_minima_past_the_atlas(n, minimum, witnesses):
     result = min_saturating_at_jump(n, 3)
     assert result.exact
     assert (result.minimum, result.witnesses) == (minimum, witnesses)
+
+
+# p = 4 jump minima and their witnesses, each re-checked on its own below;
+# the witnesses are graph6 strings, so these also pin the codec
+P4_JUMP_PINS = {
+    12: (
+        8,
+        (
+            "K?Kv~z{~~~^{",
+            "K?NF~z{~~~^{",
+            "K_Cn~z{~~~^{",
+            "KeKo~~}~f^|}",
+            "KhGxv~}~e~z}",
+            "KiOxv~}~d~v}",
+            "K}Kpxz^vv^|}",
+        ),
+    ),
+    13: (9, ("L@QF~z{~F~~}~{", "LW?Wv~}~f~~}~{", "LzXd|y{v}~Z{F~", "L~zf@{}Vy~R~f}")),
+}
+
+
+@pytest.mark.parametrize("n", sorted(P4_JUMP_PINS))
+def test_p4_jump_minima_and_witnesses(n):
+    minimum, witnesses = P4_JUMP_PINS[n]
+    result = min_saturating_at_jump(n, 4)
+    assert result.exact
+    assert (result.minimum, result.witnesses) == (minimum, witnesses)
+    for key in witnesses:
+        g = graph6_decode(key)
+        assert g.n == n and g.m == turan_number(n, 4) + 1
+        assert not contains_clique(g, 5)
+        assert count_saturating(g, 5).total == minimum
+        assert graph6_encode(g) == key
 
 
 def old_refined_colors(g):
