@@ -33,8 +33,8 @@ def main(argv=None) -> int:
     print(f"host: n={g.n} m={g.m} (extremal for K_{p + 1}-free)")
     print(f"packing: {pk.size} disjoint {p}-cliques, density r={r}, remainder edges={induced_edges(g, pk.remainder)}")
 
-    for index in range(pk.size):
-        an = analyze(pk, index)
+    analyses = [analyze(pk, index) for index in range(pk.size)]
+    for index, an in enumerate(analyses):
         zs = " ".join(str(z) for z in an.z)
         sizes = " ".join(str(a.bit_count()) for a in an.A)
         print(f"clique {index} {an.clique}: z=({zs})  |A_i|=({sizes})  ell1={an.ell1} ell2={an.ell2}")
@@ -46,7 +46,7 @@ def main(argv=None) -> int:
         delta = turan_defect(g.n, p)
         bounds = bound_set(g.n, p, r, delta)
         index, value = best_r_star(pk)
-        an = analyze(pk, index)
+        an = analyses[index]
         print(f"bounds at delta={delta}:")
         print(f"  best clique {index}: edges to remainder {value} >= {bounds.best_clique_edges}")
         print(f"  attachment fraction {an.z[p - 1]} >= {bounds.attachment_fraction}")

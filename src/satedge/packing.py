@@ -5,9 +5,11 @@ rest of the host.  One depth-first enumerator yields the packings of a given
 size in lexicographic order, up to twin swaps the least family of every
 packed vertex set, pruned by a greedy hitting-set bound and visiting each
 (pool, packed set) state once; the maximum packing, the best-remainder
-packing and its certificate all walk it.  A maximum packing's remainder has
-no p-clique, else one more would fit, so Turán's bound caps its edges and
-the best-remainder walk stops at the first family that meets the cap.
+packing and its certificate all walk it.  A certificate proves its packing
+maximum by one probe for a packing of one more clique, on the search it
+then walks.  A maximum packing's remainder has no p-clique, else one more
+would fit, so Turán's bound caps its edges and the best-remainder walk
+stops at the first family that meets the cap.
 It keeps an explicit stack, so host size does not bound its depth.  The
 bound ranks false-twin classes, not vertices, over the p-cliques of the
 host's twin-class quotient, which each search lists once.
@@ -116,10 +118,14 @@ def make_packing(host: Graph, p: int, cliques: Iterable[Iterable[int]], certifie
 
 
 def packing_from_json(host: Graph, text: str) -> CliquePacking:
+    """Load CliquePacking.to_json's text; a packing marked certified is
+    proved maximum again by _refute_larger."""
     data = json.loads(text)
     packing = make_packing(host, data["p"], data["cliques"], bool(data.get("certified", False)))
     if "remainder" in data and mask_of(data["remainder"]) != packing.remainder:
         raise ValueError("remainder field disagrees with the clique list")
+    if packing.certified:
+        _refute_larger(_PackSearch(host, packing.p, DEFAULT_PACKING_BUDGET), packing)
     return packing
 
 
@@ -132,6 +138,8 @@ class _PackSearch:
     """
 
     def __init__(self, g: Graph, p: int, budget: int):
+        if p < 2:
+            raise ValueError("need p >= 2")
         self.g = g
         self.p = p
         self.budget = budget
@@ -288,6 +296,12 @@ class _PackSearch:
         return best
 
 
+def _refute_larger(search: _PackSearch, packing: CliquePacking) -> None:
+    """Raise ValueError if the search finds a packing of one more clique."""
+    if next(search.packings(packing.size + 1), None) is not None:
+        raise ValueError(f"packing has size {packing.size}, but a packing of size {packing.size + 1} exists")
+
+
 def max_packing(g: Graph, p: int, budget: int = DEFAULT_PACKING_BUDGET) -> CliquePacking:
     """A maximum packing of p-cliques, exact and certified.
 
@@ -295,8 +309,6 @@ def max_packing(g: Graph, p: int, budget: int = DEFAULT_PACKING_BUDGET) -> Cliqu
     tuples, the family sorted).  Raises BudgetExceededError instead of ever
     returning an uncertified answer.
     """
-    if p < 2:
-        raise ValueError("need p >= 2")
     return make_packing(g, p, _PackSearch(g, p, budget).optimum(), certified=True)
 
 
@@ -430,6 +442,14 @@ def ell_split(packing: CliquePacking) -> tuple[int, int]:
     return packing._ell_split
 
 
+def _z_masks(packing: CliquePacking, clique_mask: VertexSet) -> list[VertexSet]:
+    """Z_0..Z_p of one packed clique: the remainder by neighbor count in it."""
+    z_masks = [0] * (packing.p + 1)
+    for v in bits(packing.remainder):
+        z_masks[(packing.host.adj[v] & clique_mask).bit_count()] |= 1 << v
+    return z_masks
+
+
 def analyze(packing: CliquePacking, index: int) -> PackingAnalysis:
     """Partition the remainder by neighbor count into the indexed clique.
 
@@ -447,9 +467,7 @@ def analyze(packing: CliquePacking, index: int) -> PackingAnalysis:
     ell1, ell2 = ell_split(packing)
     clique = packing.cliques[index]
     r_mask = mask_of(clique)
-    z_masks = [0] * (p + 1)
-    for v in bits(packing.remainder):
-        z_masks[(g.adj[v] & r_mask).bit_count()] |= 1 << v
+    z_masks = _z_masks(packing, r_mask)
     if z_masks[p]:
         raise CheckFailedError(f"remainder vertices {sorted(bits(z_masks[p]))} see all of {clique}")
     z = tuple(Fraction(m.bit_count(), n) for m in z_masks)
@@ -519,36 +537,28 @@ def best_r_star(packing: CliquePacking) -> tuple[int, int]:
     edge_bound = best_clique_edge_bound(n, p, r, delta)
     if best_value < edge_bound:
         raise CheckFailedError(f"best clique has {best_value} remainder edges, below the bound {edge_bound}")
-    clique_mask = mask_of(packing.cliques[best_index])
-    z_top = 0
-    for v in bits(packing.remainder):
-        if (g.adj[v] & clique_mask).bit_count() == p - 1:
-            z_top += 1
+    z_top = Fraction(_z_masks(packing, mask_of(packing.cliques[best_index]))[p - 1].bit_count(), n)
     z_bound = attachment_fraction_bound(n, p, r, delta)
-    if Fraction(z_top, n) < z_bound:
-        raise CheckFailedError(f"attachment fraction {Fraction(z_top, n)} is below the bound {z_bound}")
+    if z_top < z_bound:
+        raise CheckFailedError(f"attachment fraction {z_top} is below the bound {z_bound}")
     return best_index, best_value
 
 
-def _best_remainder_walk(g: Graph, p: int, budget: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """Visit one maximum packing per packed vertex set, up to twin swaps;
-    return (size, best remainder edges, witness).
+def _best_remainder_walk(search: _PackSearch, target: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(best remainder edges, the first family attaining them) over the
+    packings of `target` cliques, the maximum size.
 
-    The witness is the first packing attaining the best remainder-edge count
-    in lexicographic order.  Remainder edges depend on the packed vertex set
-    alone and twin swaps keep them, so the least family of each set the
-    walk yields suffices.  A maximum packing's remainder R has no p-clique,
-    else one more clique would fit, so by Turán's theorem it has at most
-    turan_number(|R|, p) edges.  The walk stops at the first family that
-    meets this cap: no later family beats it, and families come in
-    lexicographic order, so the result is the full walk's.  Below the cap
-    the walk runs to the end.  Exponential in general; a blow-up of
-    base_graph(p), whose remainder is the Turán graph on its vertices,
-    stops within a few hundred nodes.
+    Remainder edges depend on the packed vertex set alone and twin swaps
+    keep them, so the least family of each set that search.packings yields
+    suffices.  A maximum packing's remainder R has no p-clique, else one
+    more would fit, so by Turán's theorem it has at most
+    turan_number(|R|, p) edges: the walk stops at the first family that
+    meets this cap, since no later one beats it.  Exponential in general; a
+    blow-up of base_graph(p), whose remainder is the Turán graph on its
+    vertices, stops within a few hundred nodes.
     """
-    search = _PackSearch(g, p, budget)
-    target = len(search.optimum())
-    cap = turan_number(g.n - target * p, p)
+    g = search.g
+    cap = turan_number(g.n - target * search.p, search.p)
     full = g.vertices_mask()
     best_edges = -1
     best_family: tuple[tuple[int, ...], ...] = ()
@@ -559,41 +569,29 @@ def _best_remainder_walk(g: Graph, p: int, budget: int) -> tuple[int, int, tuple
             best_family = family
             if e == cap:
                 break
-    return target, best_edges, best_family
+    return best_edges, best_family
 
 
 def max_remainder_packing(g: Graph, p: int, budget: int = DEFAULT_PACKING_BUDGET) -> CliquePacking:
-    """A maximum packing whose remainder-edge count is the global maximum.
-
-    Compares every maximum packing's remainder, walking one per packed
-    vertex set up to twin swaps and stopping at the first remainder that
-    meets the Turán cap, which no maximum packing's remainder exceeds; so
-    the returned packing satisfies the strong form of the remainder
-    condition, not just switch-stability.  It is the lexicographically
-    first packing of best remainder.
+    """The lexicographically first maximum packing of most remainder edges
+    over all maximum packings, by _best_remainder_walk at optimum()'s size:
+    the strong form of the remainder condition, not just switch-stability.
     """
-    if p < 2:
-        raise ValueError("need p >= 2")
-    _, _, family = _best_remainder_walk(g, p, budget)
+    search = _PackSearch(g, p, budget)
+    _, family = _best_remainder_walk(search, len(search.optimum()))
     return make_packing(g, p, family, certified=True)
 
 
 def certify_remainder_maximal(packing: CliquePacking, budget: int = DEFAULT_PACKING_BUDGET) -> tuple[bool, int]:
     """Compare this packing's remainder edges with the best over all
-    maximum packings.
+    maximum packings; return (is_globally_maximal, best_remainder_edges).
 
-    Returns (is_globally_maximal, best_remainder_edges).  Remainder edges
-    depend on the packed vertex set alone and twin swaps keep them, so the
-    walk visits one packing per packed vertex set up to twin swaps.  A
-    maximum packing's remainder R is K_p-free, else the packing would not
-    be maximum, so no remainder has more than turan_number(|R|, p) edges:
-    the walk stops at the first one that has that many, and the best it
-    reports is exact.  Exponential in general; blow-ups of base_graph(p),
-    whose remainders meet the cap, certify in a few hundred nodes.
+    One search on one budget proves the packing maximum by _refute_larger,
+    then runs _best_remainder_walk at its size.  Blow-ups of base_graph(p)
+    certify in a few hundred nodes.
     """
     g = packing.host
-    target, best_edges, _ = _best_remainder_walk(g, packing.p, budget)
-    if target != packing.size:
-        raise ValueError(f"packing has size {packing.size}, maximum is {target}")
-    mine = induced_edges(g, packing.remainder)
-    return mine == best_edges, best_edges
+    search = _PackSearch(g, packing.p, budget)
+    _refute_larger(search, packing)
+    best_edges, _ = _best_remainder_walk(search, packing.size)
+    return induced_edges(g, packing.remainder) == best_edges, best_edges

@@ -356,7 +356,7 @@ def verify_appendices(p_max: int = 100) -> list[CheckReport]:
     rec.check("threshold-order", {"p_max": p_max}, ok)
 
     big = 10 ** 6
-    ok = all(linear_bracket(big, p)[0] <= linear_bracket(big, p)[1] for p in range(3, p_max + 1))
+    ok = all(low <= high for low, high in (linear_bracket(big, p) for p in range(3, p_max + 1)))
     rec.check("bracket-order", {"p_max": p_max, "n": big}, ok)
 
     ok = all(

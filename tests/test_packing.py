@@ -74,9 +74,10 @@ def test_max_packing_budget_error(h1_310):
 def test_certify_shares_the_packing_budget():
     # 16 listed quotient triangles and 20 search nodes find the optimum;
     # walking all the maximum packings takes 98 more, 12 of them nodes whose
-    # (pool, packed set) state was visited before.  The optimum packs all 12
-    # vertices, so the Turán cap on the remainder is 0 edges and certify
-    # stops at the first family, 19 nodes into the walk
+    # (pool, packed set) state was visited before.  Certify lists the 16
+    # triangles, probes for 5 cliques in 1 node (12 vertices hold at most 4)
+    # and walks 19 nodes to the first family: the optimum packs all 12
+    # vertices, so the Turán cap on the remainder is 0 edges
     g = random_kpfree_graph(12, 4, seed=0)
     search = packing._PackSearch(g, 3, DEFAULT_PACKING_BUDGET)
     target = len(search.optimum())
@@ -84,9 +85,9 @@ def test_certify_shares_the_packing_budget():
     assert len(list(search.packings(target))) == 1
     assert (search.nodes, search.repeats) == (36 + 98, 12)
     pk = max_packing(g, 3, budget=100)
-    assert certify_remainder_maximal(pk, budget=36 + 19) == (True, 0)
-    with pytest.raises(BudgetExceededError, match="packing search exceeded 54 nodes"):
-        certify_remainder_maximal(pk, budget=36 + 19 - 1)
+    assert certify_remainder_maximal(pk, budget=16 + 1 + 19) == (True, 0)
+    with pytest.raises(BudgetExceededError, match="packing search exceeded 35 nodes"):
+        certify_remainder_maximal(pk, budget=16 + 1 + 19 - 1)
 
 
 def test_packing_search_work_is_pinned(h1_310, deep_host):
@@ -278,7 +279,8 @@ def test_twin_walk_matches_walk_over_all_packings(p):
         for _ in search.packings(len(optimum)):
             pass
         assert search.nodes <= slow_nodes, g.adj
-        assert packing._best_remainder_walk(g, p, DEFAULT_PACKING_BUDGET) == walk, g.adj
+        search = packing._PackSearch(g, p, DEFAULT_PACKING_BUDGET)
+        assert (len(optimum),) + packing._best_remainder_walk(search, len(optimum)) == walk, g.adj
         _cap_side(g, p, walk, sides)
     assert min(sides) > 0, sides
 
@@ -307,12 +309,72 @@ def test_state_table_walk_matches_twin_walk(p):
         assert list(search.packings(len(optimum))) == list(least.values()), g.adj
         assert search.nodes <= slow_nodes, g.adj
         repeats += search.repeats
-        assert packing._best_remainder_walk(g, p, DEFAULT_PACKING_BUDGET) == walk, g.adj
+        search = packing._PackSearch(g, p, DEFAULT_PACKING_BUDGET)
+        assert (len(optimum),) + packing._best_remainder_walk(search, len(optimum)) == walk, g.adj
         remainder = g.vertices_mask() & ~mask_of(chain(*optimum))
         _, best, _ = walk
         assert certify_remainder_maximal(max_packing(g, p)) == (induced_edges(g, remainder) == best, best), g.adj
         _cap_side(g, p, walk, sides)
     assert repeats > 0
+    assert min(sides) > 0, sides
+
+
+def _optimum_walk(g, p):
+    """(size, best remainder edges, witness) as the best-remainder walk
+    found them before the probe: optimum() on a fresh search, then the
+    maximum packings up to the first whose remainder meets the Turán cap."""
+    search = packing._PackSearch(g, p, DEFAULT_PACKING_BUDGET)
+    target = len(search.optimum())
+    cap = turan_number(g.n - target * p, p)
+    best_edges, witness = -1, ()
+    for family in search.packings(target):
+        e = induced_edges(g, g.vertices_mask() & ~mask_of(chain(*family)))
+        if e > best_edges:
+            best_edges, witness = e, family
+            if e == cap:
+                break
+    return target, best_edges, witness
+
+
+def _certify_via_optimum(pk):
+    """certify_remainder_maximal as it was: a packing short of optimum()'s
+    size raises ValueError."""
+    size, best, _ = _optimum_walk(pk.host, pk.p)
+    if size != pk.size:
+        raise ValueError(f"packing has size {pk.size}, maximum is {size}")
+    return induced_edges(pk.host, pk.remainder) == best, best
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_probe_certificate_matches_optimum_walk(p):
+    # raw and refined maximum packings, and each one-clique-short
+    # sub-packing, on hosts both at and below the Turán cap
+    sides = [0, 0]
+    short = 0
+    for seed in range(16):
+        n = 9 + seed % 7
+        for g in (
+            random_kpfree_graph(n, p + 1, seed=seed),
+            random_kpfree_graph(n, p + 1, seed=50 + seed, target_edges=turan_number(n, p)),
+            _planted_twin_host(seed, 5 + seed % 3, p, max_n=14),
+        ):
+            walk = _optimum_walk(g, p)
+            _cap_side(g, p, walk, sides)
+            assert max_remainder_packing(g, p).cliques == walk[2], g.adj
+            raw = max_packing(g, p)
+            subs = [make_packing(g, p, raw.cliques[:k] + raw.cliques[k + 1:]) for k in range(raw.size)]
+            for pk in [raw, refine_packing(raw)] + subs:
+                got = _outcome(certify_remainder_maximal, pk)
+                assert got == _outcome(_certify_via_optimum, pk), g.adj
+                short += got is ValueError
+    assert short > 0
     assert min(sides) > 0, sides
 
 
@@ -410,6 +472,19 @@ def test_packing_json_round_trip(prism):
     broken["remainder"] = [0]
     with pytest.raises(ValueError):
         packing_from_json(prism, json.dumps(broken))
+
+
+def test_packing_json_reproves_a_certified_claim(h1_310, h1_310_packing):
+    # one clique of the four a maximum packing holds; loaded as certified,
+    # best_r_star would check its bounds on it and return (0, 96)
+    g = h1_310.graph
+    forged = {"p": 3, "cliques": [list(h1_310_packing.cliques[0])], "certified": True}
+    with pytest.raises(ValueError, match="packing has size 1, but a packing of size 2 exists"):
+        packing_from_json(g, json.dumps(forged))
+    honest = packing_from_json(g, json.dumps({**forged, "certified": False}))
+    assert not honest.certified
+    with pytest.raises(ValueError, match="certified maximum"):
+        best_r_star(honest)
 
 
 def test_switch_vertex_swap(h1_310, h1_310_packing):

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -110,6 +112,18 @@ def test_best_r_star_failure_is_a_fail_report(forced_bound):
         tail = [r for r in reports if r.check_id == check_id]
         assert len(tail) == 1 and tail[0].status == "skip"
         assert "best-clique-edge-bound" in tail[0].reason
+
+
+def test_best_r_star_attachment_fraction_failure(monkeypatch):
+    # the attachment-fraction bound raised past any host: best_r_star
+    # reports the best clique's z_{p-1}, the fraction analyze computes
+    pk = packing.refine_packing(packing.max_packing(h1(3, 1, 0).graph, 3))
+    index, _ = packing.best_r_star(pk)
+    monkeypatch.setattr(packing, "attachment_fraction_bound", lambda n, p, r, delta: Fraction(2))
+    with pytest.raises(CheckFailedError) as raised:
+        packing.best_r_star(pk)
+    found = re.fullmatch(r"attachment fraction (\S+) is below the bound 2", str(raised.value))
+    assert found and Fraction(found.group(1)) == packing.analyze(pk, index).z[2]
 
 
 def test_analyze_failure_is_a_fail_report(monkeypatch):
