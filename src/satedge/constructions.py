@@ -9,7 +9,8 @@ gives h0, a K_{p+1}-free graph on modulus(p) * x vertices where
 modulus(p) = p(p-1)(4p^2-11p+8).  h1 stretches V0 by 2y and shrinks the
 U side by a balanced y vertices, landing exactly on the Turán edge count
 for n = modulus(p)*x + y; h2 does the same with 2y+1 / y+1 and overshoots
-by a small surplus that trim_to_target can remove edge by edge.
+by a small surplus that trim_to_target removes by walking the U-incident
+edges in order, keeping each removal that leaves the saturating count.
 
 Vertex labels in every blow-up run V0 first, then V_1..V_{p-1}, then
 U_1..U_{p-1}, each part a contiguous range.  A `Blowup` builds its graph
@@ -199,11 +200,15 @@ class TrimError(ValueError):
 def trim_to_target(bu: Blowup, target: int) -> Graph:
     """Remove U-incident edges until exactly `target` edges remain.
 
-    Candidate edges (at least one endpoint in a U part) are scanned in
-    lexicographic order; a removal is kept only if the count of
-    K_{p+1}-saturating edges is unchanged, which is re-verified after every
-    single removal.  Raises TrimError if the scan cannot reach the target.
+    The walk covers the U-incident edges (at least one endpoint in a U part)
+    of the original graph in lexicographic order and stops as soon as the
+    target is reached.  A removal is kept only if the count of
+    K_{p+1}-saturating edges is unchanged, so the trim makes one recount per
+    tried edge plus the baseline.  Raises ValueError on a negative target and
+    TrimError if the walk cannot reach the target.
     """
+    if target < 0:
+        raise ValueError(f"target must be >= 0, got {target}")
     g = bu.graph
     if target > g.m:
         raise TrimError(f"target {target} exceeds edge count {g.m}")
@@ -213,18 +218,19 @@ def trim_to_target(bu: Blowup, target: int) -> Graph:
     for pm in bu.u_parts:
         u_mask |= pm
     baseline = count_saturating(g, bu.p + 1, edges=False).total
-    candidates = [(u, v) for (u, v) in g.edges() if (1 << u | 1 << v) & u_mask]
-    for u, v in candidates:
-        if g.m == target:
-            break
-        trial = g.without_edge(u, v)
-        if count_saturating(trial, bu.p + 1, edges=False).total == baseline:
-            g = trial
-    if g.m != target:
-        raise TrimError(
-            f"cannot reach {target} edges: {g.m} remain after scanning removable edges"
-        )
-    return g
+    for u, row in enumerate(bu.graph.adj):  # the original rows; g loses edges
+        above = row >> (u + 1) << (u + 1)
+        if not u_mask >> u & 1:
+            above &= u_mask  # a non-U endpoint needs its partner in U
+        for v in bits(above):
+            trial = g.without_edge(u, v)
+            if count_saturating(trial, bu.p + 1, edges=False).total == baseline:
+                g = trial
+                if g.m == target:
+                    return g
+    raise TrimError(
+        f"cannot reach {target} edges: {g.m} remain after scanning removable edges"
+    )
 
 
 def check_construction_edge_identity(n: int, p: int) -> bool:

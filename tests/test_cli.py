@@ -199,6 +199,13 @@ def test_construct_trim_infeasible_target_exits_1(capsys):
     assert "check failed" in err
 
 
+def test_construct_trim_negative_target_exits_2(capsys):
+    code, out, err = run(capsys, ["construct", "trim", "--p", "3", "--x", "1", "--y", "1", "--target", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: target must be >= 0, got -1\n"
+
+
 def test_construct_missing_arguments_exit_2(capsys):
     assert run(capsys, ["construct", "turan", "--n", "6"])[0] == 2
     assert run(capsys, ["construct", "h1"])[0] == 2

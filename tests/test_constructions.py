@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from satedge import constructions
 from satedge.constructions import (
     BlowupSpec,
     TrimError,
@@ -169,12 +170,90 @@ def test_trim_removes_edges_and_preserves_count():
     assert count_saturating(g, 4).total == before
 
 
-def test_trim_errors():
+def test_trim_errors(monkeypatch):
     bu = h2(3, 1, 1)
     with pytest.raises(ValueError):
         trim_to_target(bu, bu.graph.m + 1)  # cannot add edges
     with pytest.raises(TrimError):
         trim_to_target(bu, 10)  # unreachable without changing the count
+
+    def no_recount(*args, **kwargs):
+        raise AssertionError("a negative target must be refused before any recount")
+
+    monkeypatch.setattr(constructions, "count_saturating", no_recount)
+    with pytest.raises(ValueError, match="target must be >= 0, got -1") as exc:
+        trim_to_target(bu, -1)
+    assert not isinstance(exc.value, TrimError)
+
+
+def _eager_trim(bu, target):
+    """The trim as an eager scan: list every U-incident edge of the original
+    graph via Graph.edges(), then try them in order."""
+    g = bu.graph
+    if target > g.m:
+        raise TrimError(f"target {target} exceeds edge count {g.m}")
+    if target == g.m:
+        return g
+    u_mask = 0
+    for pm in bu.u_parts:
+        u_mask |= pm
+    baseline = count_saturating(g, bu.p + 1, edges=False).total
+    candidates = [(u, v) for (u, v) in g.edges() if (1 << u | 1 << v) & u_mask]
+    for u, v in candidates:
+        if g.m == target:
+            break
+        trial = g.without_edge(u, v)
+        if count_saturating(trial, bu.p + 1, edges=False).total == baseline:
+            g = trial
+    if g.m != target:
+        raise TrimError(
+            f"cannot reach {target} edges: {g.m} remain after scanning removable edges"
+        )
+    return g
+
+
+def _trim_outcome(trim, bu, target):
+    try:
+        return trim(bu, target).adj
+    except TrimError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [(3, 1, y) for y in range(4)] + [(3, 2, y) for y in range(3)] + [(4, 1, y) for y in range(4)],
+    ids=lambda cell: ".".join(map(str, cell)),
+)
+def test_trim_walk_matches_eager_scan(cell):
+    bu = h2(*cell)
+    floor = turan_number(bu.graph.n, bu.p)
+    for target in range(bu.graph.m, floor, -1):
+        assert _trim_outcome(trim_to_target, bu, target) == _trim_outcome(_eager_trim, bu, target)
+
+
+def test_trim_walk_matches_eager_scan_failure():
+    bu = h2(3, 1, 1)
+    want = _trim_outcome(_eager_trim, bu, 10)
+    assert want.startswith("cannot reach 10 edges")
+    assert _trim_outcome(trim_to_target, bu, 10) == want
+
+
+@pytest.mark.parametrize("cell,recounts", [((3, 1, 1), 2), ((3, 2, 1), 3), ((4, 1, 2), 10)])
+def test_trim_recounts_once_per_tried_edge(monkeypatch, cell, recounts):
+    # the baseline plus one recount per tried edge; every tried edge here is
+    # removable, so the walk tries exactly the surplus
+    calls = []
+    real = constructions.count_saturating
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "count_saturating", counting)
+    bu = h2(*cell)
+    target = turan_number(bu.graph.n, bu.p) + 1
+    assert trim_to_target(bu, target).m == target
+    assert len(calls) == recounts == bu.graph.m - target + 1
 
 
 def test_blowup_spec_validation():

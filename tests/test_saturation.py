@@ -123,7 +123,7 @@ BLOWUP_CELLS = (
     [(h0, cell, False) for cell in [(3, 1), (4, 1), (5, 1), (3, 2)]]
     + [(h1, (p, x, y), False) for p in (3, 4, 5) for x in (1, 2) for y in (0, 1, 2)]
     + [(h2, cell, False) for cell in [(3, 1, 0), (3, 1, 1), (4, 1, 0)]]
-    + [(h2, cell, True) for cell in [(3, 1, 0), (3, 1, 1)]]
+    + [(h2, cell, True) for cell in [(3, 1, 0), (3, 1, 1), (4, 1, 0), (4, 1, 2)]]
 )
 
 
