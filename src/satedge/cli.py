@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .graph import (
@@ -43,7 +42,6 @@ from .packing import (
 )
 from .search import (
     DEFAULT_SEARCH_BUDGET,
-    InfeasibleError,
     min_saturating,
     min_saturating_at_jump,
     min_saturating_constrained,
@@ -52,66 +50,10 @@ from .formulas import CheckFailedError, formula_table
 from .verify import failures, reports_to_csv, reports_to_json, verify_all_small
 
 
-class ConfigError(ValueError):
-    pass
+def _read_graph(path: str) -> Graph:
+    """Reads one graph; auto-detects graph6 vs 'n m' edge-list input by the first line.
 
-
-@dataclass(frozen=True)
-class Config:
-    search_budget: int = DEFAULT_SEARCH_BUDGET
-    pack_budget: int = DEFAULT_PACKING_BUDGET
-    vertex_cap: int = DEFAULT_VERTEX_CAP
-    output_format: str = "json"
-    emit_witnesses: bool = False
-
-
-def _parse_bool(text: str) -> bool:
-    word = text.lower()
-    if word in ("1", "true", "yes"):
-        return True
-    if word in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected 1, true, yes, 0, false or no, not {text!r}")
-
-
-_CONFIG_PARSERS = {
-    "search_budget": int,
-    "pack_budget": int,
-    "vertex_cap": int,
-    "output_format": str,
-    "emit_witnesses": _parse_bool,
-}
-
-
-def load_config(path: Optional[str]) -> Config:
-    """Key=value config file; no file gives the defaults."""
-    values: dict = {}
-    if path is not None:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in _CONFIG_PARSERS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    values[key] = _CONFIG_PARSERS[key](value.strip())
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    cfg = Config(**values)
-    if cfg.output_format not in ("json", "csv"):
-        raise ConfigError(f"output_format must be json or csv, not {cfg.output_format!r}")
-    if cfg.search_budget < 1 or cfg.pack_budget < 1 or cfg.vertex_cap < 1:
-        raise ConfigError("budgets and vertex_cap must be positive")
-    return cfg
-
-
-def _read_graph(path: str, cap: int) -> Graph:
-    """Reads one graph; auto-detects graph6 vs 'n m' edge-list input by the first line."""
+    Input from outside the program is held to DEFAULT_VERTEX_CAP vertices."""
     if path == "-":
         text = sys.stdin.read()
     else:
@@ -123,10 +65,10 @@ def _read_graph(path: str, cap: int) -> Graph:
     lines = [ln for ln in stripped.splitlines() if ln.strip()]
     first = lines[0].split()
     if len(first) == 2 and all(tok.lstrip("-").isdigit() for tok in first):
-        return parse_edge_list(stripped, cap=cap)
+        return parse_edge_list(stripped, cap=DEFAULT_VERTEX_CAP)
     if len(lines) > 1:
         raise ValueError(f"graph6 input has {len(lines)} non-empty lines; give one graph per input")
-    return graph6_decode(lines[0], cap=cap)
+    return graph6_decode(lines[0], cap=DEFAULT_VERTEX_CAP)
 
 
 def _emit_graph(g: Graph, fmt: str):
@@ -149,7 +91,6 @@ _CONSTRUCT_FLAGS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="satedge", description="clique-saturation toolkit")
-    parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a named construction")
@@ -195,28 +136,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the verification harness")
     v.add_argument("--seed", type=int, default=7)
-    v.add_argument("--format", choices=["json", "csv"], help="report format (default from config)")
+    v.add_argument("--format", default="json", choices=["json", "csv"], help="report format (default json)")
     return parser
 
 
 def _positive(flag: Optional[int], name: str, default: int) -> int:
-    """A command-line flag's value, which must be positive like a config
-    value, or `default` when the flag is absent."""
+    """A command-line flag's value, which must be positive, or `default`
+    when the flag is absent."""
     if flag is None:
         return default
     if flag < 1:
-        raise ConfigError(f"{name} must be positive")
+        raise ValueError(f"{name} must be positive")
     return flag
 
 
-def _cmd_construct(args, cfg: Config) -> int:
+def _cmd_construct(args) -> int:
     reads = _CONSTRUCT_FLAGS[args.name]
     for flag in ("p", "x", "y", "n", "r", "target"):
         value = getattr(args, flag)
         if value is not None and flag not in reads:
-            raise ConfigError(f"construct {args.name} does not read --{flag}")
+            raise ValueError(f"construct {args.name} does not read --{flag}")
         if value is None and flag in reads and flag in ("p", "n", "r"):
-            raise ConfigError(f"construct {args.name} needs --{flag}")
+            raise ValueError(f"construct {args.name} needs --{flag}")
     x = 1 if args.x is None else args.x
     y = 0 if args.y is None else args.y
     if args.name == "turan":
@@ -243,31 +184,31 @@ def _cmd_construct(args, cfg: Config) -> int:
             g = bu.graph
     if args.parts:
         if parts is None:
-            raise ConfigError(f"{args.name} has no part map")
+            raise ValueError(f"{args.name} has no part map")
         print(json.dumps([sorted(bits(mask)) for mask in parts]))
     else:
         _emit_graph(g, args.format)
     return 0
 
 
-def _cmd_count(args, cfg: Config) -> int:
+def _cmd_count(args) -> int:
     threads = _positive(args.threads, "--threads", 1)
-    g = _read_graph(args.infile, cfg.vertex_cap)
+    g = _read_graph(args.infile)
     report = count_saturating(g, args.p, edges=args.edges, threads=threads)
     print(report.to_json())
     return 0
 
 
-def _cmd_pack(args, cfg: Config) -> int:
-    budget = _positive(args.budget, "--budget", cfg.pack_budget)
-    g = _read_graph(args.infile, cfg.vertex_cap)
+def _cmd_pack(args) -> int:
+    budget = _positive(args.budget, "--budget", DEFAULT_PACKING_BUDGET)
+    g = _read_graph(args.infile)
     packing = max_packing(g, args.p, budget=budget)
     if args.refine:
         packing = refine_packing(packing)
     print(packing.to_json())
     if args.analyze is not None:
         if not 0 <= args.analyze < packing.size:
-            raise ConfigError(f"--analyze index out of range (packing has {packing.size} cliques)")
+            raise ValueError(f"--analyze index out of range (packing has {packing.size} cliques)")
         an = analyze(packing, args.analyze)
         print(
             json.dumps(
@@ -284,8 +225,8 @@ def _cmd_pack(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_search(args, cfg: Config) -> int:
-    budget = _positive(args.budget, "--budget", cfg.search_budget)
+def _cmd_search(args) -> int:
+    budget = _positive(args.budget, "--budget", DEFAULT_SEARCH_BUDGET)
     if args.at_jump:
         result = min_saturating_at_jump(args.n, args.p, budget=budget)
     elif args.constrained:
@@ -293,13 +234,13 @@ def _cmd_search(args, cfg: Config) -> int:
     else:
         result = min_saturating(args.n, args.e, args.p, budget=budget)
     payload = result.to_dict()
-    if not (args.emit_witnesses or cfg.emit_witnesses):
+    if not args.emit_witnesses:
         payload["witnesses"] = []
     print(json.dumps(payload))
     return 0 if result.exact else 3
 
 
-def _cmd_formulas(args, cfg: Config) -> int:
+def _cmd_formulas(args) -> int:
     rows = formula_table(args.p_min, args.p_max)
     print("p,leading_coefficient,threshold_low,threshold_high,poly_f,poly_g")
     for row in rows:
@@ -310,10 +251,9 @@ def _cmd_formulas(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_verify(args, cfg: Config) -> int:
+def _cmd_verify(args) -> int:
     reports = verify_all_small(seed=args.seed)
-    fmt = args.format or cfg.output_format
-    if fmt == "csv":
+    if args.format == "csv":
         print(reports_to_csv(reports), end="")
     else:
         print(reports_to_json(reports))
@@ -343,14 +283,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, load_config(args.config))
+        return _COMMANDS[args.command](args)
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
     except (CliquePresentError, TrimError, CheckFailedError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, InfeasibleError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # InfeasibleError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,6 +39,8 @@ def turan_graph(n: int, r: int) -> Graph:
 
 def turan_number(n: int, p: int) -> int:
     """Maximum edge count of an n-vertex graph with no p-clique."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     if p < 2:
         raise ValueError("forbidden clique size must be >= 2")
     r = p - 1
@@ -54,6 +56,8 @@ def turan_defect(n: int, p: int) -> Fraction:
 
     d = t(p-1-t)/(2(p-1)) for t = n mod (p-1); zero iff (p-1) | n.
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
     if p < 3:
         raise ValueError("need p >= 3")
     t = n % (p - 1)
@@ -155,6 +159,17 @@ def _h_variant(p: int, x: int, extra_v0: int, drop_u: int) -> Blowup:
     return Blowup(BlowupSpec(base_graph(p), tuple(sizes)), p)
 
 
+def _check_domain(p: int, x: int, y: int, extra: int):
+    """The domain of h1 (extra = 0) and h2 (extra = 1): the U parts, with
+    p(p-1)(3p-4)x vertices in all, must outnumber the y + extra deleted."""
+    if p < 3 or x < 1 or y < 0:
+        raise ValueError("need p >= 3, x >= 1, y >= 0")
+    u, drop = p * (p - 1) * (3 * p - 4) * x, y + extra
+    if not u > drop:
+        need = "y+1" if extra else "y"
+        raise ValueError(f"infeasible remainder: need p(p-1)(3p-4)x > {need}, got {u} <= {drop}")
+
+
 def h1(p: int, x: int, y: int) -> Blowup:
     """Exact-Turán-count construction on modulus(p)*x + y vertices.
 
@@ -162,10 +177,7 @@ def h1(p: int, x: int, y: int) -> Blowup:
     (a balanced transversal of the complete multipartite U side, so the
     deleted set induces a Turán graph on y vertices).
     """
-    if p < 3 or x < 1 or y < 0:
-        raise ValueError("need p >= 3, x >= 1, y >= 0")
-    if not p * (p - 1) * (3 * p - 4) * x > y:
-        raise ValueError(f"infeasible remainder: need p(p-1)(3p-4)x > y, got {p*(p-1)*(3*p-4)*x} <= {y}")
+    _check_domain(p, x, y, 0)
     return _h_variant(p, x, 2 * y, y)
 
 
@@ -175,10 +187,7 @@ def h2(p: int, x: int, y: int) -> Blowup:
     Same vertex count as h1(p, x, y) but with a small edge surplus beyond
     the Turán number; see h2_surplus.
     """
-    if p < 3 or x < 1 or y < 0:
-        raise ValueError("need p >= 3, x >= 1, y >= 0")
-    if not p * (p - 1) * (3 * p - 4) * x > y + 1:
-        raise ValueError(f"infeasible remainder: need p(p-1)(3p-4)x > y+1, got {p*(p-1)*(3*p-4)*x} <= {y+1}")
+    _check_domain(p, x, y, 1)
     return _h_variant(p, x, 2 * y + 1, y + 1)
 
 
@@ -186,8 +195,9 @@ def h2_surplus(p: int, x: int, y: int) -> int:
     """e(h2(p,x,y)) - turan_number(n, p), computed exactly.
 
     Equals (p-2)^3 x + t_{p-1}(y+1) - t_{p-1}(y) where t is the balanced
-    multipartite edge count on p-1 parts.
+    multipartite edge count on p-1 parts.  Defined on h2's domain.
     """
+    _check_domain(p, x, y, 1)
     ty1 = turan_number(y + 1, p)
     ty = turan_number(y, p)
     return (p - 2) ** 3 * x + ty1 - ty

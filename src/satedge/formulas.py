@@ -53,6 +53,14 @@ def exact_minimum_divisible(n: int, p: int) -> Fraction:
     return leading_coefficient(p) * n * n - Fraction((p - 2) * (2 * p - 3), _q(p)) * n
 
 
+def _check_h1_domain(p: int, x: int, y: int):
+    """Refuses what constructions.h1 refuses, with its messages."""
+    if p < 3 or x < 1 or y < 0:
+        raise ValueError("need p >= 3, x >= 1, y >= 0")
+    if not p * (p - 1) * (3 * p - 4) * x > y:
+        raise ValueError(f"infeasible remainder: need p(p-1)(3p-4)x > y, got {p*(p-1)*(3*p-4)*x} <= {y}")
+
+
 def h1_saturating_count(p: int, x: int, y: int) -> Fraction:
     """Saturating-edge count of h1(p, x, y) in closed form.
 
@@ -60,10 +68,7 @@ def h1_saturating_count(p: int, x: int, y: int) -> Fraction:
         2(p-2)^2/(pQ) n^2 - (p-2)(2p-3)/Q n + 8(p-1)^3/(pQ) y^2 - 2(p-1)^2/Q y
     Equals the binomial form summed over the V parts.
     """
-    if p < 3 or x < 1 or y < 0:
-        raise ValueError("need p >= 3, x >= 1, y >= 0")
-    if not p * (p - 1) * (3 * p - 4) * x > y:
-        raise ValueError("infeasible remainder y for this (p, x)")
+    _check_h1_domain(p, x, y)
     q = _q(p)
     n = modulus(p) * x + y
     return (
@@ -76,8 +81,7 @@ def h1_saturating_count(p: int, x: int, y: int) -> Fraction:
 
 def h1_saturating_count_binomial(p: int, x: int, y: int) -> int:
     """Same count as a sum of binomials over the V part sizes."""
-    if p < 3 or x < 1 or y < 0:
-        raise ValueError("need p >= 3, x >= 1, y >= 0")
+    _check_h1_domain(p, x, y)
     v0 = 2 * (p - 1) * (p - 2) ** 2 * x + 2 * y
     vi = 4 * (p - 1) ** 2 * (p - 2) * x
     return v0 * (v0 - 1) // 2 + (p - 1) * (vi * (vi - 1) // 2)

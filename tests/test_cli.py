@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from satedge.cli import Config, ConfigError, build_parser, load_config, main
+from satedge.cli import build_parser, main
 from satedge import constructions
 from satedge.constructions import h1, turan_number
 from satedge.formulas import (
@@ -17,7 +17,7 @@ from satedge.formulas import (
     positivity_poly_f,
     positivity_poly_g,
 )
-from satedge.graph import bits, graph6_decode, graph6_encode, parse_edge_list
+from satedge.graph import DEFAULT_VERTEX_CAP, bits, graph6_decode, graph6_encode, parse_edge_list
 
 
 def run(capsys, argv):
@@ -30,59 +30,6 @@ def write_graph(tmp_path, g, name="g.g6"):
     path = tmp_path / name
     path.write_text(graph6_encode(g) + "\n")
     return str(path)
-
-
-# -- config ------------------------------------------------------------
-
-
-def test_load_config_defaults():
-    cfg = load_config(None)
-    assert cfg == Config()
-
-
-def test_load_config_file_and_comments(tmp_path):
-    path = tmp_path / "satedge.cfg"
-    path.write_text("# comment\nsearch_budget = 3\nemit_witnesses = true\n\noutput_format=csv # trailing\n")
-    cfg = load_config(str(path))
-    assert cfg.search_budget == 3
-    assert cfg.emit_witnesses is True
-    assert cfg.output_format == "csv"
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "mystery_key=1\n",
-        "search_budget\n",
-        "search_budget=zero\n",
-        "search_budget=0\n",
-        "vertex_cap=-1\n",
-        # threads is no config key, whatever its value
-        "threads\n",
-        "threads=zero\n",
-        "threads=0\n",
-        "threads=2\n",
-        "output_format=yaml\n",
-        "output_format=text\n",
-        # a misspelt or empty boolean is no silent False
-        "emit_witnesses=ture\n",
-        "emit_witnesses=\n",
-    ],
-)
-def test_load_config_rejects_bad_files(tmp_path, text):
-    path = tmp_path / "satedge.cfg"
-    path.write_text(text)
-    with pytest.raises(ConfigError):
-        load_config(str(path))
-
-
-@pytest.mark.parametrize(
-    "word,value", [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False)]
-)
-def test_load_config_booleans(tmp_path, word, value):
-    path = tmp_path / "satedge.cfg"
-    path.write_text(f"emit_witnesses = {word}\n")
-    assert load_config(str(path)).emit_witnesses is value
 
 
 @pytest.mark.parametrize("argv", [["bogus"], []])
@@ -120,12 +67,20 @@ def test_argparse_error_leaves_main_as_a_fresh_process_finds_it(capsys, bad):
     assert code == 0 and out.strip()
 
 
-def test_cli_bad_config_exits_2(tmp_path, capsys):
-    path = tmp_path / "satedge.cfg"
-    path.write_text("mystery_key=1\n")
-    code, _, err = run(capsys, ["--config", str(path), "formulas", "table", "--p-max", "3"])
-    assert code == 2
-    assert "mystery_key" in err
+def test_config_flag_is_unknown(capsys):
+    # settings come from each command's own flags: with no config file, argparse
+    # takes the flag for an unknown argument and its file for a command
+    argv = ["--config", "satedge.cfg", "formulas", "table", "--p-max", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "satedge: error:" in captured.err and "satedge.cfg" in captured.err
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run([sys.executable, "-m", "satedge", *argv], capture_output=True, text=True, env=env)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (2, "", captured.err)
 
 
 # -- construct ----------------------------------------------------------
@@ -298,6 +253,20 @@ def test_several_graph6_lines_exit_2(capsys, monkeypatch, command):
     assert "2 non-empty lines" in err
 
 
+@pytest.mark.parametrize("command", ["count", "pack"])
+@pytest.mark.parametrize(
+    "header,message",
+    [("~@?@", "graph6 order 4097 exceeds cap 4096"), ("4097 0", "vertex count 4097 exceeds cap 4096")],
+    ids=["graph6", "edge-list"],
+)
+def test_graph_above_vertex_cap_exits_2(capsys, monkeypatch, command, header, message):
+    # input from outside the program is held to DEFAULT_VERTEX_CAP; the header alone is refused
+    assert DEFAULT_VERTEX_CAP == 4096
+    monkeypatch.setattr("sys.stdin", io.StringIO(header + "\n"))
+    code, out, err = run(capsys, [command, "--p", "3"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # -- pack ---------------------------------------------------------------
 
 
@@ -379,14 +348,6 @@ def test_search_basic_and_witness_gating(capsys):
     assert code == 0
     witnesses = json.loads(out)["witnesses"]
     assert witnesses and all(graph6_decode(w).m == 4 for w in witnesses)
-
-
-def test_search_config_can_enable_witnesses(capsys, tmp_path):
-    path = tmp_path / "satedge.cfg"
-    path.write_text("emit_witnesses=yes\n")
-    code, out, _ = run(capsys, ["--config", str(path), "search", "--n", "4", "--e", "4", "--p", "3"])
-    assert code == 0
-    assert json.loads(out)["witnesses"]
 
 
 def test_search_at_jump(capsys):

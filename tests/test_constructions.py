@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -60,6 +61,15 @@ def test_turan_defect_identity():
             assert Fraction(p - 2, 2 * (p - 1)) * n * n - delta == turan_number(n, p)
             t = n % (p - 1)
             assert delta == Fraction(t * (p - 1 - t), 2 * (p - 1))
+
+
+@pytest.mark.parametrize("function,n,p", [(turan_number, -5, 3), (turan_number, -2, 4), (turan_defect, -1, 3)])
+def test_turan_counts_refuse_negative_n(function, n, p):
+    # as turan_graph does: no graph has a negative vertex count
+    with pytest.raises(ValueError, match="need n >= 0"):
+        function(n, p)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        turan_graph(n, p - 1)
 
 
 def test_check_construction_edge_identity():
@@ -150,6 +160,14 @@ def test_h2_surplus_values():
     assert h2_surplus(3, 1, 0) == 1
     assert h2_surplus(3, 1, 1) == 2
     assert h2_surplus(4, 1, 0) == 8
+
+
+@pytest.mark.parametrize("p,x,y", [(3, 1, 29), (3, 1, 500), (3, 0, 0), (3, 1, -1), (2, 1, 0)])
+def test_h2_surplus_refuses_what_h2_refuses(p, x, y):
+    with pytest.raises(ValueError) as refused:
+        h2(p, x, y)
+    with pytest.raises(ValueError, match="^" + re.escape(str(refused.value)) + "$"):
+        h2_surplus(p, x, y)
 
 
 def test_trim_no_op_when_already_at_target():

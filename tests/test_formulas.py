@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from satedge import constructions
-from satedge.constructions import check_construction_edge_identity, turan_defect, turan_number
+from satedge.constructions import check_construction_edge_identity, h1, turan_defect, turan_number
 from satedge.formulas import (
     attachment_fraction_bound,
     best_clique_edge_bound,
@@ -93,6 +94,15 @@ def test_h1_closed_form_values(p, x, y, expected):
 )
 def test_h1_closed_form_matches_binomial_form(p, x, y):
     assert h1_saturating_count(p, x, y) == h1_saturating_count_binomial(p, x, y)
+
+
+@pytest.mark.parametrize("p,x,y", [(3, 1, 30), (3, 1, 31), (3, 0, 0), (3, 1, -1), (2, 1, 0)])
+def test_h1_closed_and_binomial_forms_refuse_what_h1_refuses(p, x, y):
+    with pytest.raises(ValueError) as refused:
+        h1(p, x, y)
+    for form in (h1_saturating_count, h1_saturating_count_binomial):
+        with pytest.raises(ValueError, match="^" + re.escape(str(refused.value)) + "$"):
+            form(p, x, y)
 
 
 def test_linear_bracket_cofficients_at_p3():

@@ -11,7 +11,17 @@ from hypothesis import given, settings, strategies as st
 
 from satedge.constructions import base_graph, blow_up, turan_graph, turan_number
 from satedge.formulas import CheckFailedError
-from satedge.graph import BlowupSpec, Graph, bits, build_graph, contains_clique, graph6_decode, graph6_encode, mask_of
+from satedge.graph import (
+    BlowupSpec,
+    Graph,
+    bits,
+    build_graph,
+    contains_clique,
+    from_adjacency,
+    graph6_decode,
+    graph6_encode,
+    mask_of,
+)
 from satedge import search as search_module
 from satedge.saturation import count_saturating
 from satedge.search import (
@@ -34,6 +44,7 @@ from satedge.search import (
 )
 
 from conftest import planted_twin_strategy
+from test_acceptance import JUMP_MINIMA, JUMP_WITNESSES
 
 nx = pytest.importorskip("networkx")
 
@@ -350,15 +361,15 @@ def test_jump_search_work_counter(n, explored):
 # density window, each top-level candidate counted) found the same minima and
 # witnesses; it shares the generator and `_count_delta`, so it is not
 # independent of them
-@pytest.mark.parametrize(
-    "n,minimum,witnesses",
-    [
-        (9, 3, ("H@QF~z{", "HxHYs}]")),
-        (10, 5, ("IG?Wv~}~_", "IWA[r|}^_", "Io@zrq^fo", "Is_ZB|}^_", "IxGayy^fo")),
-        (11, 6, ("J?CaF~}~f{?", "J]Kpe^Mr_^_", "J]TQd]mj_^_", "Jr?C[X~^r}?", "J}Kpa\\Mb{^?")),
-        (12, 7, ("K]?@xw{r}^X{", "K]?Ayx[j|^T{")),
-    ],
-)
+P3_JUMP_PINS = [
+    (9, 3, ("H@QF~z{", "HxHYs}]")),
+    (10, 5, ("IG?Wv~}~_", "IWA[r|}^_", "Io@zrq^fo", "Is_ZB|}^_", "IxGayy^fo")),
+    (11, 6, ("J?CaF~}~f{?", "J]Kpe^Mr_^_", "J]TQd]mj_^_", "Jr?C[X~^r}?", "J}Kpa\\Mb{^?")),
+    (12, 7, ("K]?@xw{r}^X{", "K]?Ayx[j|^T{")),
+]
+
+
+@pytest.mark.parametrize("n,minimum,witnesses", P3_JUMP_PINS)
 def test_jump_minima_past_the_atlas(n, minimum, witnesses):
     result = min_saturating_at_jump(n, 3)
     assert result.exact
@@ -864,6 +875,40 @@ def test_jump_minimum_at_13():
         "LsK?CME^z~N{^w",
         "LvwWopfXrMO~`}",
     )
+
+
+# An upper-bound oracle for the pinned jump minima that shares nothing with
+# the search's generator or `_count_delta`.  A pinned witness on n - 1
+# vertices, joined by a new vertex to a K_p-free set of ex(n, K_p) -
+# ex(n - 1, K_p) of its vertices, is a K_{p+1}-free host with ex(n, K_p) + 1
+# edges, so each such host's count bounds the minimum at n from above.  In
+# every cell below some host meets the pinned minimum.
+JUMP_SEEDS = {
+    3: (
+        {**JUMP_MINIMA, **{n: minimum for n, minimum, _ in P3_JUMP_PINS}, 13: 9},
+        {**JUMP_WITNESSES, **{n: witnesses for n, _, witnesses in P3_JUMP_PINS}},
+    ),
+    4: ({n: pin[0] for n, pin in P4_JUMP_PINS.items()}, {n: pin[1] for n, pin in P4_JUMP_PINS.items()}),
+}
+
+
+@pytest.mark.parametrize("p,n", [(3, n) for n in range(6, 14)] + [(4, 13)])
+def test_seed_hosts_meet_the_pinned_jump_minima(p, n):
+    minima, witnesses = JUMP_SEEDS[p]
+    joined = turan_number(n, p) - turan_number(n - 1, p)
+    counts = []
+    for key in witnesses[n - 1]:
+        seed = graph6_decode(key)
+        for chosen in itertools.combinations(range(n - 1), joined):
+            mask = mask_of(chosen)
+            if seed.clique_in(mask, p) is not None:
+                continue
+            host = from_adjacency([a | (mask >> v & 1) << (n - 1) for v, a in enumerate(seed.adj)] + [mask])
+            assert host.m == turan_number(n, p) + 1
+            assert not contains_clique(host, p + 1)
+            counts.append(count_saturating(host, p + 1).total)
+    assert counts and minima[n] <= min(counts)
+    assert min(counts) == minima[n]
 
 
 def naive_twin_classes(g):
