@@ -37,6 +37,8 @@ def main(argv=None) -> int:
     if args.n_min < args.p:
         # turan_number(n, p) = C(n, 2) for n < p: no host has one edge more
         ap.error("--n-min must be at least --p")
+    if args.n_max < args.n_min:
+        ap.error("--n-max must be at least --n-min")
 
     print(f"{'n':>4} {'e':>6} {'minimum':>8} {'explored':>10} {'exact':>6}")
     for n in range(args.n_min, args.n_max + 1):

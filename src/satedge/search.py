@@ -44,14 +44,17 @@ exact shortcuts keep this fast without changing the answer:
   so the cells are those of re-reading every cell each round.
 - Every candidate at a position adds a column of the same length after the
   same prefix, so only the candidates with the least column can lead to the
-  least string; the others are never entered.
+  least string; the others are never entered.  They are found by filtering
+  the free members' mask against the placed vertices in placement order,
+  with no column built per vertex.
 - Two free vertices with equal neighbourhoods (false twins) or equal closed
   neighbourhoods (true twins) are swapped by an automorphism that fixes the
   prefix, so the later one's subtree repeats the earlier one's strings, and
   it is skipped.  The first minimizing leaf lies under the earlier one.
 
-No automorphism group is stored, and no external isomorphism code is
-involved.
+The search keeps its path on an explicit stack of frames, not the call
+stack, so a graph of any size is labelled without a recursion limit.  No
+automorphism group is stored, and no external isomorphism code is involved.
 """
 
 from __future__ import annotations
@@ -150,58 +153,104 @@ def canonical_ordering(g: Graph) -> tuple[int, ...]:
 
 
 def _canonical_ordering(g: Graph, cells: list[list[int]]) -> tuple[int, ...]:
-    """canonical_ordering(g), given g's refined cells `cells`."""
+    """canonical_ordering(g), given g's refined cells `cells`.
+
+    A depth-first search over prefixes `placed` of orderings.  A vertex's
+    column against the prefix has the first placed vertex in its highest
+    bit, so the ints compare as the bit strings do.  Only the free members
+    of the position's cell with the least column are entered, and they are
+    found by filtering the cell's free mask, not by building columns: walk
+    the prefix in placement order and keep the members not adjacent to the
+    placed vertex if there are any (that bit of the least column is 0);
+    otherwise every member is adjacent and the bit is 1.  Columns of equal
+    length compare at their first differing bit, where a 0 wins, so after
+    each step the kept members are exactly those whose column so far is the
+    least.  The final mask is therefore the members with the least column,
+    the same candidates a column per vertex would pick, and the bits read
+    off on the way are that column, `low`.  Its members are tried by
+    increasing label.
+
+    The search runs on an explicit stack, one frame per position of the
+    prefix: [members left to try there, tight, found, low].  `tight` means
+    the prefix's columns equal the best ordering's (or there is no best
+    yet), `found` that a leaf below set a new best.  The columns of a new
+    best ordering are the frames' `low`s at its leaf.
+    """
     n = g.n
     adj = g.adj
     if len(cells) == n:  # all cells are singletons: one class-respecting ordering
         return tuple(cell[0] for cell in cells)
-    slots = [cell for cell in cells for _ in cell]
+    slots: list[int] = []
+    for cell in cells:
+        slots += [sum(1 << v for v in cell)] * len(cell)
+    non_adj = [~a for a in adj]
     twins = _twin_masks(adj)
 
     best_cols: Optional[list[int]] = None
     best_perm: Optional[tuple[int, ...]] = None
     placed: list[int] = []
-    path: list[int] = []
-
-    def descend(pos: int, cols: list[int], used: int, tight: bool) -> bool:
-        """Search below the prefix `placed`; True if it set a new best.
-
-        cols[v] is v's column against the prefix, the first placed vertex in
-        the highest bit, so the ints compare as the bit strings do.  `tight`
-        means the prefix's columns equal the best ordering's (or there is no
-        best yet).
-        """
-        nonlocal best_cols, best_perm
+    used = 0
+    frames: list[list] = []
+    tight = True
+    while True:
+        # the node below `placed`: enter its first member, or hand back `found`
+        pos = len(placed)
         if pos == n:
+            found = not tight or best_cols is None
+            if found:
+                best_perm = tuple(placed)
+                best_cols = [frame[3] for frame in frames]
+        else:
+            least = slots[pos] & ~used
+            low = 0
+            for u in placed:
+                rest = least & non_adj[u]
+                if rest:
+                    least, low = rest, low << 1
+                else:
+                    low = low << 1 | 1
             if tight and best_cols is not None:
-                return False
-            best_cols, best_perm = path.copy(), tuple(placed)
-            return True
-        cands = [v for v in slots[pos] if not used >> v & 1]
-        low = min([cols[v] for v in cands]) if len(cands) > 1 else cols[cands[0]]
-        if tight and best_cols is not None:
-            if low > best_cols[pos]:
-                return False
-            tight = low == best_cols[pos]
-        found = False
-        path.append(low)
-        for v in cands:
-            # a larger column can only lead to larger strings; a free twin
-            # below v was tried here already, and swapping the two is an
-            # automorphism fixing the prefix that maps its subtree onto v's
-            if cols[v] != low or twins[v] & ~used & ((1 << v) - 1):
+                if low > best_cols[pos]:
+                    least = 0  # only larger strings lie below
+                tight = low == best_cols[pos]
+            if least:
+                # a free twin of the lowest member would share its cell and
+                # column, so it would be a lower member: no twin check
+                bit = least & -least
+                frames.append([least ^ bit, tight, False, low])
+                placed.append(bit.bit_length() - 1)
+                used |= bit
                 continue
-            placed.append(v)
-            if descend(pos + 1, [c << 1 | (a >> v & 1) for c, a in zip(cols, adj)], used | 1 << v, tight):
-                found = tight = True
-            placed.pop()
-        path.pop()
-        return found
-
-    descend(0, [0] * n, 0, True)
-    if best_perm is None:
-        raise CheckFailedError(f"no canonical ordering found for a {n}-vertex graph")
-    return best_perm
+            found = False
+        # go up the stack to the first frame with a member left to enter
+        while True:
+            used ^= 1 << placed.pop()
+            frame = frames[-1]
+            if found:
+                frame[1] = frame[2] = True
+            least = frame[0]
+            while least:
+                bit = least & -least
+                least ^= bit
+                # a free twin below this member was tried here already, and
+                # swapping the two is an automorphism fixing the prefix that
+                # maps its subtree onto this member's
+                if not twins[bit.bit_length() - 1] & ~used & (bit - 1):
+                    break
+            else:
+                bit = 0
+            if bit:
+                frame[0] = least
+                placed.append(bit.bit_length() - 1)
+                used |= bit
+                tight = frame[1]
+                break
+            frames.pop()
+            if not frames:
+                if best_perm is None:
+                    raise CheckFailedError(f"no canonical ordering found for a {n}-vertex graph")
+                return best_perm
+            found = frame[2]
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -507,6 +507,94 @@ def test_refined_cells_match_tuple_signature_refinement():
         assert _refined_cells(g) == tuple_signature_refined_cells(g), g.adj
 
 
+def test_canonical_key_past_the_recursion_limit():
+    # 1 200 positions in one cell: deeper than the interpreter's call stack
+    n = 1200
+    assert canonical_key(build_graph(n, [])) == graph6_encode(build_graph(n, []))
+    perm = list(range(n))
+    random.Random(4).shuffle(perm)
+    star = build_graph(n, [(perm[0], perm[v]) for v in range(1, n)])
+    assert canonical_key(star) == graph6_encode(build_graph(n, [(v, n - 1) for v in range(n - 1)]))
+
+
+def column_list_canonical_ordering(g, cells, leaves):
+    """The ordering search the mask filter replaced: a column per vertex,
+    rebuilt for every child, a path of least columns and a recursive
+    descent.  `leaves` counts the leaves that replace an earlier best
+    ("replaced") and those equal to the best ("equal")."""
+    n = g.n
+    adj = g.adj
+    if len(cells) == n:
+        return tuple(cell[0] for cell in cells)
+    slots = [cell for cell in cells for _ in cell]
+    twins = search_module._twin_masks(adj)
+    best_cols = None
+    best_perm = None
+    placed = []
+    path = []
+
+    def descend(pos, cols, used, tight):
+        nonlocal best_cols, best_perm
+        if pos == n:
+            if tight and best_cols is not None:
+                leaves["equal"] += 1
+                return False
+            if best_cols is not None:
+                leaves["replaced"] += 1
+            best_cols, best_perm = path.copy(), tuple(placed)
+            return True
+        cands = [v for v in slots[pos] if not used >> v & 1]
+        low = min(cols[v] for v in cands)
+        if tight and best_cols is not None:
+            if low > best_cols[pos]:
+                return False
+            tight = low == best_cols[pos]
+        found = False
+        path.append(low)
+        for v in cands:
+            if cols[v] != low or twins[v] & ~used & ((1 << v) - 1):
+                continue
+            placed.append(v)
+            if descend(pos + 1, [c << 1 | (a >> v & 1) for c, a in zip(cols, adj)], used | 1 << v, tight):
+                found = tight = True
+            placed.pop()
+        path.pop()
+        return found
+
+    descend(0, [0] * n, 0, True)
+    return best_perm
+
+
+def symmetric_graphs():
+    """Cycles C_5..C_12, Petersen, Paley(13), K_{3,3,3} and the 4-cube."""
+    graphs = [nx.cycle_graph(n) for n in range(5, 13)]
+    graphs += [nx.petersen_graph(), nx.paley_graph(13).to_undirected(), nx.complete_multipartite_graph(3, 3, 3)]
+    graphs.append(nx.convert_node_labels_to_integers(nx.hypercube_graph(4)))
+    return [to_bitset_graph(nxg) for nxg in graphs]
+
+
+def test_mask_filter_ordering_matches_column_lists():
+    rng = random.Random(3)
+    inputs = []
+    for g in symmetric_graphs():
+        for h in (g, complement(g)):
+            perm = list(range(h.n))
+            rng.shuffle(perm)
+            inputs += [h, relabeled(h, perm)]
+    for seed in range(300):
+        seeded = random.Random(seed)
+        n = seeded.randint(10, 14)
+        density = seeded.choice((0.2, 0.5, 0.8))
+        inputs.append(build_graph(n, [e for e in itertools.combinations(range(n), 2) if seeded.random() < density]))
+    inputs += [g for g, _ in unpruned_classes(7, 4, 0, 12)[0].values()]
+    leaves = {"replaced": 0, "equal": 0}
+    for g in inputs:
+        cells = _refined_cells(g)
+        assert search_module._canonical_ordering(g, cells) == column_list_canonical_ordering(g, cells, leaves), g.adj
+    # both ways a leaf can end against an earlier best are taken
+    assert leaves["replaced"] > 0 and leaves["equal"] > 0, leaves
+
+
 def old_class_keys(n, p, e_min, e_max):
     """Canonical keys from the level-wise generator the min-degree path
     replaced: every K_p-free extension within the edge window, no
@@ -975,7 +1063,11 @@ def test_jump_table_script_rows():
         refused = jump_table("--budget", budget)
         assert refused.returncode == 2 and refused.stdout == "", (budget, refused.stdout)
         assert "--budget must be positive" in refused.stderr
-    for args, message in [(("--n-min", "0"), "--n-min must be at least --p"), (("--p", "1"), "--p must be at least 2")]:
+    for args, message in [
+        (("--n-min", "0"), "--n-min must be at least --p"),
+        (("--p", "1"), "--p must be at least 2"),
+        (("--n-min", "9", "--n-max", "6"), "--n-max must be at least --n-min"),
+    ]:
         refused = jump_table(*args)
         assert refused.returncode == 2 and refused.stdout == "", (args, refused.stdout)
         assert message in refused.stderr
