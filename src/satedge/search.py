@@ -20,7 +20,15 @@ from U = 0 to the least count of a waiting child each time: it stops at
 the first pass that reaches every edge count of its window, and that pass
 has the exact minimum of each and all its witnesses.  A child's count is
 its parent's plus the pairs the new vertex makes saturating, so it is
-known before the child is labelled; a child above the bound waits
+known before the child is labelled.  Both that delta and the parent's
+saturating pairs are read off one union, `_covered(mask, k)`: the
+common neighbourhoods of the k-cliques inside a mask, which is exactly the
+set of vertices b whose neighbourhood meets the mask in a k-clique.  The
+pair (a, b) is saturating when b lies in the union over N(a) at k = p - 2;
+the new vertex v's non-edges (v, b) outside its set s when b lies in the
+union over s at k = p - 2; and an old non-edge (a, b) inside s becomes
+saturating when b lies in the union over N(a) & s at k = p - 3.  So no
+pair is probed on its own.  A child above the bound waits
 unlabelled, filed by count, for a pass whose bound reaches it.  The passes
 of one search share one store: a pass expands only the classes it labels
 and then drops them, so each candidate is generated once per search.  A
@@ -62,7 +70,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .graph import Graph, bits, graph6_encode
+from .graph import Graph, bits, enumerate_cliques, graph6_encode
 from .constructions import turan_graph, turan_number
 from .formulas import CheckFailedError
 
@@ -327,17 +335,37 @@ def _extensions(g: Graph, p: int, m_lo: int, e_max: int) -> list[int]:
     )
 
 
-def _saturating_masks(g: Graph, p: int) -> list[int]:
-    """sat[a]: the vertices b with (a, b) a p-saturating non-edge of g."""
+def _covered(g: Graph, mask: int, k: int) -> int:
+    """The union of the common neighbourhoods of the k-cliques inside
+    `mask`: the vertices b for which mask & N(b) holds a k-clique.
+
+    A k-clique C lies inside mask & N(b) exactly when C lies inside mask and
+    b is adjacent to all of C, so the two sets are equal.  The empty clique
+    lies inside every mask and its common neighbourhood is every vertex.
+    Only cliques on the mask's twin representatives are listed: a member's
+    false twin in the mask has its neighbourhood, so swapping it in keeps a
+    clique and its common neighbourhood, and the union is the same.
+    """
+    if k == 0:
+        return (1 << g.n) - 1
     adj = g.adj
-    full = (1 << g.n) - 1
-    sat = [0] * g.n
-    for a in range(g.n):
-        for b in bits(full & ~adj[a] & -(2 << a)):
-            if g.clique_in(adj[a] & adj[b], p - 2) is not None:
-                sat[a] |= 1 << b
-                sat[b] |= 1 << a
-    return sat
+    out = 0
+    for clique in enumerate_cliques(g, k, g.twin_representatives(mask)):
+        common = -1
+        for v in clique:
+            common &= adj[v]
+        out |= common
+    return out
+
+
+def _saturating_masks(g: Graph, p: int) -> list[int]:
+    """sat[a]: the vertices b with (a, b) a p-saturating non-edge of g.
+
+    (a, b) is saturating when N(a) & N(b) holds a (p-2)-clique, that is when
+    b lies in `_covered(N(a), p - 2)` (a itself does whenever N(a) holds
+    one, so it is taken out with a's neighbours).
+    """
+    return [_covered(g, row, p - 2) & ~row & ~(1 << a) for a, row in enumerate(g.adj)]
 
 
 def _count_delta(g: Graph, sat: list[int], s: int, p: int) -> int:
@@ -345,22 +373,25 @@ def _count_delta(g: Graph, sat: list[int], s: int, p: int) -> int:
     saturating masks `sat` (a new vertex v joined to the mask s).
 
     A non-edge of g keeps its status unless both ends lie in s, where v
-    joins their common neighbourhood: (i) such a pair that was not
+    joins their common neighbourhood: (i) such a pair (a, b) that was not
     saturating becomes so when v closes a (p-2)-clique with a (p-3)-clique
     of the common neighbourhood inside s, which at p = 3 is the empty one.
     (ii) The new non-edges are (v, b) for b outside s, saturating when
     s & N(b) holds a (p-2)-clique.
+
+    Each term is one popcount of a `_covered` union, with no probe per pair:
+    (ii) counts `_covered(s, p - 2) & ~s`, and (i), for each a in s, the
+    fresh pairs' ends b in `_covered(N(a) & s, p - 3)`, since a (p-3)-clique
+    lies inside N(a) & N(b) & s exactly when it lies inside N(a) & s and b
+    is adjacent to all of it.
     """
     adj = g.adj
     delta = 0
     for a in bits(s):
         fresh = s & ~adj[a] & ~sat[a] & -(2 << a)
-        if p == 3:
-            delta += fresh.bit_count()
-        else:
-            delta += sum(1 for b in bits(fresh) if g.clique_in(adj[a] & adj[b] & s, p - 3) is not None)
-    outside = ((1 << g.n) - 1) & ~s
-    return delta + sum(1 for b in bits(outside) if g.clique_in(s & adj[b], p - 2) is not None)
+        if fresh:
+            delta += (fresh & _covered(g, adj[a] & s, p - 3)).bit_count()
+    return delta + (_covered(g, s, p - 2) & ~s).bit_count()
 
 
 class _Levels:

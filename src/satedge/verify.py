@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .graph import Graph, bits, contains_clique
+from .graph import DEFAULT_VERTEX_CAP, Graph, bits, contains_clique, enumerate_cliques
 from .constructions import (
     check_construction_edge_identity,
     h1,
@@ -164,19 +164,29 @@ def random_kpfree_graph(n: int, p: int, seed: int, target_edges: Optional[int] =
     """Seeded random K_p-free graph; edges added in shuffled pair order.
 
     Each candidate pair is kept unless it would complete a p-clique, until
-    target_edges is reached (or the graph is maximally K_p-free).
+    target_edges is reached (or the graph is maximally K_p-free).  n above
+    DEFAULT_VERTEX_CAP and a negative target_edges are refused.  Edges are
+    counted as they are kept, and a pair's common neighbourhood is probed
+    by `enumerate_cliques` directly, so a graph's edge count and twin
+    classes are never computed for a graph that is about to be replaced.
     """
     if p < 3 or n < 1:
         raise ValueError("need p >= 3 and n >= 1")
+    if n > DEFAULT_VERTEX_CAP:
+        raise ValueError(f"vertex count {n} exceeds cap {DEFAULT_VERTEX_CAP}")
+    if target_edges is not None and target_edges < 0:
+        raise ValueError(f"negative target edge count {target_edges}")
     rng = random.Random(seed)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     g = Graph(n, (0,) * n)
+    m = 0
     for u, v in pairs:
-        if target_edges is not None and g.m >= target_edges:
+        if target_edges is not None and m >= target_edges:
             break
-        if g.clique_in(g.adj[u] & g.adj[v], p - 2) is None:
+        if next(enumerate_cliques(g, p - 2, g.adj[u] & g.adj[v]), None) is None:
             g = g.with_edge(u, v)
+            m += 1
     return g
 
 

@@ -42,6 +42,7 @@ from satedge.search import (
     min_saturating_constrained,
     min_saturating_table,
 )
+from satedge.verify import random_kpfree_graph
 
 from conftest import planted_twin_strategy
 from test_acceptance import JUMP_MINIMA, JUMP_WITNESSES
@@ -379,6 +380,13 @@ def test_jump_minima_past_the_atlas(n, minimum, witnesses):
 # p = 4 jump minima and their witnesses, each re-checked on its own below;
 # the witnesses are graph6 strings, so these also pin the codec
 P4_JUMP_PINS = {
+    5: (1, ("D^{",)),
+    6: (2, ("E]~w",)),
+    7: (2, ("Fvxzw",)),
+    8: (2, ("GK~v~w",)),
+    9: (4, ("HBZ~v~}", "HFznf~}")),
+    10: (5, ("I_~v`~~~o", "I}pzt}}Nw")),
+    11: (6, ("J@R~vr~~v}?", "J_Kv~z{~~~?", "J_~vb|}n|~?")),
     12: (
         8,
         (
@@ -792,6 +800,71 @@ def test_delta_count_matches_count_saturating(monkeypatch, search):
     assert len(counted) == rows[0].explored > 0
 
 
+def saturating_masks_by_pair(g, p):
+    """_saturating_masks as it was written before the row unions: one
+    clique probe per non-edge."""
+    adj = g.adj
+    full = (1 << g.n) - 1
+    sat = [0] * g.n
+    for a in range(g.n):
+        for b in bits(full & ~adj[a] & -(2 << a)):
+            if g.clique_in(adj[a] & adj[b], p - 2) is not None:
+                sat[a] |= 1 << b
+                sat[b] |= 1 << a
+    return sat
+
+
+def count_delta_by_pair(g, sat, s, p):
+    """_count_delta as it was written before the row unions: one clique
+    probe per pair inside s and per vertex outside it."""
+    adj = g.adj
+    delta = 0
+    for a in bits(s):
+        fresh = s & ~adj[a] & ~sat[a] & -(2 << a)
+        if p == 3:
+            delta += fresh.bit_count()
+        else:
+            delta += sum(1 for b in bits(fresh) if g.clique_in(adj[a] & adj[b] & s, p - 3) is not None)
+    outside = ((1 << g.n) - 1) & ~s
+    return delta + sum(1 for b in bits(outside) if g.clique_in(s & adj[b], p - 2) is not None)
+
+
+@pytest.mark.parametrize("n,p", [(n, 3) for n in range(3, 12)] + [(n, 4) for n in range(4, 12)])
+def test_row_union_counts_match_per_pair_probes_on_the_jumps(monkeypatch, n, p):
+    # every parent the jump search expands and every candidate mask it counts
+    parents, masks = {}, []
+    count_delta = search_module._count_delta
+
+    def recorded_delta(g, sat, s, q):
+        parents.setdefault(g.adj, g)
+        masks.append((g, s))
+        return count_delta(g, sat, s, q)
+
+    monkeypatch.setattr(search_module, "_count_delta", recorded_delta)
+    result = min_saturating_at_jump(n, p)
+    assert result.exact and len(masks) == result.explored > 0
+    q = p + 1
+    sats = {}
+    for adj, g in parents.items():
+        sats[adj] = saturating_masks_by_pair(g, q)
+        assert _saturating_masks(g, q) == sats[adj], adj
+    for g, s in masks:
+        assert _count_delta(g, sats[g.adj], s, q) == count_delta_by_pair(g, sats[g.adj], s, q), (g.adj, s)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_row_union_counts_match_per_pair_probes_on_random_masks(p):
+    rng = random.Random(p)
+    for seed in range(60):
+        n = rng.randint(1, 16)
+        g = random_kpfree_graph(n, p, seed, target_edges=rng.randint(0, turan_number(n, p)))
+        sat = saturating_masks_by_pair(g, p)
+        assert _saturating_masks(g, p) == sat, (g.adj, p)
+        for _ in range(25):
+            s = rng.getrandbits(n)
+            assert _count_delta(g, sat, s, p) == count_delta_by_pair(g, sat, s, p), (g.adj, s, p)
+
+
 class LevelLog(list):
     """A store's levels that log, as (level, {key: count}), each level a pass
     empties after expanding it."""
@@ -980,7 +1053,7 @@ JUMP_SEEDS = {
 }
 
 
-@pytest.mark.parametrize("p,n", [(3, n) for n in range(6, 14)] + [(4, 13)])
+@pytest.mark.parametrize("p,n", [(3, n) for n in range(6, 14)] + [(4, n) for n in range(6, 14)])
 def test_seed_hosts_meet_the_pinned_jump_minima(p, n):
     minima, witnesses = JUMP_SEEDS[p]
     joined = turan_number(n, p) - turan_number(n - 1, p)

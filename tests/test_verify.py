@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 import re
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from satedge import packing, verify
 from satedge.cli import main
 from satedge.constructions import h1, h2, trim_to_target, turan_number
 from satedge.formulas import CheckFailedError
-from satedge.graph import build_graph, contains_clique
+from satedge.graph import DEFAULT_VERTEX_CAP, Graph, build_graph, contains_clique
 from satedge.verify import (
     CheckReport,
     failures,
@@ -37,6 +38,49 @@ def test_random_kpfree_graph_is_deterministic_and_free():
 def test_random_kpfree_graph_respects_target():
     g = random_kpfree_graph(20, 4, seed=1, target_edges=30)
     assert g.m == 30
+
+
+def kpfree_graph_loop(n, p, seed, target_edges=None):
+    """random_kpfree_graph as it was written with a twin-reduced
+    `clique_in` probe per pair and the edge count read off each Graph."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    g = Graph(n, (0,) * n)
+    for u, v in pairs:
+        if target_edges is not None and g.m >= target_edges:
+            break
+        if g.clique_in(g.adj[u] & g.adj[v], p - 2) is None:
+            g = g.with_edge(u, v)
+    return g
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_random_kpfree_graph_matches_the_per_pair_graph_loop(p):
+    cases = 0
+    for n in range(1, 41):
+        ex = turan_number(n, p)
+        for seed in range(6):
+            for target in (None, ex, ex // 2, 0):
+                g = random_kpfree_graph(n, p, seed, target)
+                assert g.adj == kpfree_graph_loop(n, p, seed, target).adj, (n, p, seed, target)
+                cases += 1
+    assert cases == 960
+
+
+def test_random_kpfree_graph_refuses_a_negative_target(monkeypatch):
+    assert random_kpfree_graph(6, 4, seed=1, target_edges=0).m == 0
+    # refused before any pair is drawn
+    monkeypatch.setattr(verify, "random", None)
+    with pytest.raises(ValueError, match="negative target"):
+        random_kpfree_graph(6, 4, seed=1, target_edges=-3)
+
+
+def test_random_kpfree_graph_refuses_n_above_the_vertex_cap(monkeypatch):
+    # refused before any pair is drawn, so the C(n, 2) pair list is never built
+    monkeypatch.setattr(verify, "random", None)
+    with pytest.raises(ValueError, match=f"exceeds cap {DEFAULT_VERTEX_CAP}"):
+        random_kpfree_graph(DEFAULT_VERTEX_CAP + 1, 4, seed=1)
 
 
 def test_verify_constructions_passes():
