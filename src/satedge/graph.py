@@ -51,13 +51,14 @@ class Graph:
     loops.  Construct via build_graph / from_adjacency / graph6_decode.
     """
 
-    __slots__ = ("n", "adj", "_m", "_twins")
+    __slots__ = ("n", "adj", "_m", "_twins", "_twin_groups")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         self.n = n
         self.adj = adj
         self._m: Optional[int] = None
         self._twins: Optional[tuple[int, ...]] = None
+        self._twin_groups: Optional[tuple[int, ...]] = None
 
     @property
     def m(self) -> int:
@@ -125,15 +126,23 @@ class Graph:
 
     def twin_representatives(self, mask: VertexSet) -> VertexSet:
         """One representative per twin class that meets `mask`: the class's
-        lowest member in `mask`."""
+        lowest member in `mask`.
+
+        Starts from the mask and visits only the classes of two or more
+        members (listed once per graph): where one holds two or more of the
+        mask's vertices, all but the lowest are dropped.
+        """
         classes = self.twin_classes()
         if len(classes) == self.n:
             return mask  # twin-free: every class is a singleton
-        out = 0
-        for cls in classes:
-            hit = cls & mask
-            if hit:
-                out |= hit & -hit
+        if self._twin_groups is None:
+            self._twin_groups = tuple(cls for cls in classes if cls & (cls - 1))
+        out = mask
+        for cls in self._twin_groups:
+            rest = cls & mask
+            rest &= rest - 1  # the class's members in the mask but its lowest
+            if rest:
+                out ^= rest
         return out
 
     def quotient(self) -> "BlowupSpec":
@@ -301,10 +310,14 @@ def enumerate_cliques(g: Graph, p: int, mask: Optional[VertexSet] = None) -> Ite
 # no Python step per bit: the triangle is one int whose bit i is stream bit i;
 # `to_bytes` and a per-byte bit reversal give the stream most significant bit
 # first, and base64 cuts that into the same 6-bit groups (graph6 is base64
-# over the alphabet 63..126).  Decoding pads each column to n bits, so that a
-# vertex's higher neighbours, a row of the triangle, are one strided slice.
+# over the alphabet 63..126).  `graph6_from_bytes` takes the stream in that
+# form, so a caller that holds the columns with row 0 in the highest bit (the
+# canonical labelling's) joins them with no reversal.  Decoding pads each
+# column to n bits, so that a vertex's higher neighbours, a row of the
+# triangle, are one strided slice.
 
 _G6_LONG = 126  # '~' prefix for the >= 63 vertex form
+_G6_MAX_ORDER = 258047  # the largest order the '~' form holds
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _G6 = bytes(range(63, 127))
 _B64_TO_G6 = bytes.maketrans(_B64, _G6)
@@ -312,21 +325,29 @@ _G6_TO_B64 = bytes.maketrans(_G6, _B64)
 _REVERSE_BITS = bytes(int(f"{i:08b}"[::-1], 2) for i in range(256))
 
 
-def graph6_encode(g: Graph) -> str:
-    n = g.n
+def graph6_from_bytes(n: int, raw: bytes) -> str:
+    """graph6 text of the n-vertex graph whose bit stream is `raw`, read
+    most significant bit of each byte first, with every bit past the stream's
+    n(n-1)/2 zero: the header, then the stream cut into 6-bit characters."""
     if n < 63:
         head = chr(n + 63)
-    elif n <= 258047:
+    elif n <= _G6_MAX_ORDER:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
+        raise ValueError("graph too large for supported graph6 forms")
+    chars = (n * (n - 1) // 2 + 5) // 6
+    return head + binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)[:chars].decode()
+
+
+def graph6_encode(g: Graph) -> str:
+    n = g.n
+    if n > _G6_MAX_ORDER:  # refused before the n(n-1)/2-bit stream is built
         raise ValueError("graph too large for supported graph6 forms")
     adj = g.adj
     stream = 0  # bit i is stream bit i: columns in order, each row 0 first
     for col in range(n - 1, 0, -1):
         stream = (stream << col) | (adj[col] & ((1 << col) - 1))
-    chars = (n * (n - 1) // 2 + 5) // 6
-    raw = stream.to_bytes((chars + 3) // 4 * 3, "little").translate(_REVERSE_BITS)
-    return head + binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)[:chars].decode()
+    return graph6_from_bytes(n, stream.to_bytes(-(-n * (n - 1) // 16), "little").translate(_REVERSE_BITS))
 
 
 def graph6_decode(text: str, cap: int = DEFAULT_VERTEX_CAP) -> Graph:

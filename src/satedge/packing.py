@@ -459,7 +459,9 @@ def analyze(packing: CliquePacking, index: int) -> PackingAnalysis:
     sum z_j = 1 - p r and sum |A_i|/n = z_{p-1}, that the A_i are disjoint
     independent subsets of Z_{p-1}, and that every pair inside an A_i is a
     saturating edge.  A host with a (p+1)-clique raises CliquePresentError
-    from the count, before any check.
+    from the count, before any check.  The two identities are checked on
+    vertex counts, times n: |Z_0| + ... + |Z_{p-1}| = n - p |packing|, and,
+    the A_i being disjoint, their union has |Z_{p-1}| members.
     """
     g = packing.host
     p = packing.p
@@ -472,7 +474,7 @@ def analyze(packing: CliquePacking, index: int) -> PackingAnalysis:
         raise CheckFailedError(f"remainder vertices {sorted(bits(z_masks[p]))} see all of {clique}")
     z = tuple(Fraction(m.bit_count(), n) for m in z_masks)
     r = packing.density
-    if sum(z[:p]) != 1 - p * r:
+    if sum(m.bit_count() for m in z_masks[:p]) != n - p * packing.size:
         raise CheckFailedError(f"sum z_j = {sum(z[:p])} differs from 1 - p r = {1 - p * r}")
 
     a_masks = []
@@ -488,8 +490,8 @@ def analyze(packing: CliquePacking, index: int) -> PackingAnalysis:
         if induced_edges(g, a):
             raise CheckFailedError(f"A_{i} is not independent")
         seen |= a
-    a_total = sum(Fraction(a.bit_count(), n) for a in a_masks)
-    if a_total != z[p - 1]:
+    if seen.bit_count() != z_masks[p - 1].bit_count():
+        a_total = sum(Fraction(a.bit_count(), n) for a in a_masks)
         raise CheckFailedError(f"sum |A_i|/n = {a_total} differs from z_{p - 1} = {z[p - 1]}")
 
     for i, a in enumerate(a_masks):

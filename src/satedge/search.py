@@ -28,15 +28,18 @@ pair (a, b) is saturating when b lies in the union over N(a) at k = p - 2;
 the new vertex v's non-edges (v, b) outside its set s when b lies in the
 union over s at k = p - 2; and an old non-edge (a, b) inside s becomes
 saturating when b lies in the union over N(a) & s at k = p - 3.  So no
-pair is probed on its own.  A child above the bound waits
+pair is probed on its own.  The union over s also decides whether s may be
+joined at all: s holds a (p-1)-clique exactly when it meets its own union,
+so the extension step computes it once, as its filter, and hands it to the
+count.  A child above the bound waits
 unlabelled, filed by count, for a pass whose bound reaches it.  The passes
 of one search share one store: a pass expands only the classes it labels
 and then drops them, so each candidate is generated once per search.  A
 child within the bound is labelled only if its new vertex
 lies in the first cell of its refinement, McKay's canonical-deletion test
 with that cell as the invariant: some isomorphic child passes it, so no
-class is lost.  The jump search then runs to n = 12 at p = 3 in about half
-a second.
+class is lost.  The jump search then runs to n = 12 at p = 3 in about a
+third of a second.
 
 Canonical form: vertices are first partitioned by iterated degree
 refinement; the canonical labeling is the class-respecting relabeling that
@@ -58,11 +61,18 @@ exact shortcuts keep this fast without changing the answer:
 - Two free vertices with equal neighbourhoods (false twins) or equal closed
   neighbourhoods (true twins) are swapped by an automorphism that fixes the
   prefix, so the later one's subtree repeats the earlier one's strings, and
-  it is skipped.  The first minimizing leaf lies under the earlier one.
+  it is skipped.  The first minimizing leaf lies under the earlier one.  The
+  twin classes are built only when the search first backtracks to a further
+  member of some position.
 
 The search keeps its path on an explicit stack of frames, not the call
 stack, so a graph of any size is labelled without a recursion limit.  No
 automorphism group is stored, and no external isomorphism code is involved.
+The columns of the winning ordering are the relabeled graph's graph6 bit
+stream, so the key is cut from them with no relabeled copy; only when the
+refined cells are all singletons, and no search runs, is the graph relabeled
+and encoded.  The level store relabels a child only when it keeps it as a
+new class.
 """
 
 from __future__ import annotations
@@ -70,7 +80,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .graph import Graph, bits, enumerate_cliques, graph6_encode
+from .graph import Graph, bits, enumerate_cliques, graph6_encode, graph6_from_bytes, mask_of
 from .constructions import turan_graph, turan_number
 from .formulas import CheckFailedError
 
@@ -91,7 +101,10 @@ def _refined_cells(g: Graph) -> list[list[int]]:
     agree on their counts to every cell of the round before, so only the
     pieces of the cells that split in the last round can tell them apart:
     reading the counts against those pieces alone orders the members exactly
-    as the full vectors do.  Refinement stops when no cell splits.
+    as the full vectors do.  Refinement stops when no cell splits, or as
+    soon as every cell is a singleton (from the degrees or after any round),
+    since no later round can split one; singleton cells are carried over
+    unread.
 
     The counts are packed into one int per vertex, the first splitter's in
     the highest bits, so ints compare as the count vectors do.  The last
@@ -104,30 +117,46 @@ def _refined_cells(g: Graph) -> list[list[int]]:
     decide the order instead.
     """
     adj = g.adj
-    width = g.n.bit_length()
+    n = g.n
+    width = n.bit_length()
     by_degree: dict[int, list[int]] = {}
     for v, a in enumerate(adj):
         by_degree.setdefault(a.bit_count(), []).append(v)
     cells = [by_degree[d] for d in sorted(by_degree)]
-    splitters = [sum(1 << v for v in cell) for cell in cells[:-1]]
+    if len(cells) == n:
+        return cells
+    splitters = []
+    for cell in cells[:-1]:
+        mask = 0
+        for v in cell:
+            mask |= 1 << v
+        splitters.append(mask)
     while splitters:
         refined: list[list[int]] = []
         next_splitters: list[int] = []
         for cell in cells:
-            groups: dict[int, list[int]] = {}
-            if len(cell) > 1:
-                for v in cell:
-                    a = adj[v]
-                    sig = 0
-                    for s in splitters:
-                        sig = sig << width | (a & s).bit_count()
-                    groups.setdefault(sig, []).append(v)
-            if len(groups) > 1:
-                split = [groups[sig] for sig in sorted(groups, reverse=True)]
-                refined.extend(split)
-                next_splitters.extend(sum(1 << v for v in piece) for piece in split[:-1])
-            else:
+            if len(cell) == 1:
                 refined.append(cell)
+                continue
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                a = adj[v]
+                sig = 0
+                for s in splitters:
+                    sig = sig << width | (a & s).bit_count()
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                refined.append(cell)
+                continue
+            split = [groups[sig] for sig in sorted(groups, reverse=True)]
+            refined += split
+            for piece in split[:-1]:
+                mask = 0
+                for v in piece:
+                    mask |= 1 << v
+                next_splitters.append(mask)
+        if len(refined) == n:
+            return refined
         cells, splitters = refined, next_splitters
     return cells
 
@@ -157,11 +186,14 @@ def canonical_ordering(g: Graph) -> tuple[int, ...]:
     returns the first when each position tries its class's free vertices by
     increasing label.
     """
-    return _canonical_ordering(g, _refined_cells(g))
+    return _canonical_ordering(g, _refined_cells(g))[0]
 
 
-def _canonical_ordering(g: Graph, cells: list[list[int]]) -> tuple[int, ...]:
-    """canonical_ordering(g), given g's refined cells `cells`.
+def _canonical_ordering(g: Graph, cells: list[list[int]]) -> tuple[tuple[int, ...], Optional[list[int]]]:
+    """canonical_ordering(g), given g's refined cells `cells`, and the
+    columns of that ordering: cols[j] holds the adjacencies of its j-th
+    vertex to the j before it, the first in the highest bit.  The columns
+    are None when the cells are all singletons, as no search then runs.
 
     A depth-first search over prefixes `placed` of orderings.  A vertex's
     column against the prefix has the first placed vertex in its highest
@@ -182,17 +214,19 @@ def _canonical_ordering(g: Graph, cells: list[list[int]]) -> tuple[int, ...]:
     prefix: [members left to try there, tight, found, low].  `tight` means
     the prefix's columns equal the best ordering's (or there is no best
     yet), `found` that a leaf below set a new best.  The columns of a new
-    best ordering are the frames' `low`s at its leaf.
+    best ordering are the frames' `low`s at its leaf.  The twin classes are
+    built only when a frame first moves on to a further member, so a search
+    that never backtracks to one does not build them.
     """
     n = g.n
     adj = g.adj
     if len(cells) == n:  # all cells are singletons: one class-respecting ordering
-        return tuple(cell[0] for cell in cells)
+        return tuple(cell[0] for cell in cells), None
     slots: list[int] = []
     for cell in cells:
-        slots += [sum(1 << v for v in cell)] * len(cell)
+        slots += [mask_of(cell)] * len(cell)
     non_adj = [~a for a in adj]
-    twins = _twin_masks(adj)
+    twins: Optional[list[int]] = None
 
     best_cols: Optional[list[int]] = None
     best_perm: Optional[tuple[int, ...]] = None
@@ -237,6 +271,8 @@ def _canonical_ordering(g: Graph, cells: list[list[int]]) -> tuple[int, ...]:
             if found:
                 frame[1] = frame[2] = True
             least = frame[0]
+            if least and twins is None:
+                twins = _twin_masks(adj)
             while least:
                 bit = least & -least
                 least ^= bit
@@ -257,7 +293,7 @@ def _canonical_ordering(g: Graph, cells: list[list[int]]) -> tuple[int, ...]:
             if not frames:
                 if best_perm is None:
                     raise CheckFailedError(f"no canonical ordering found for a {n}-vertex graph")
-                return best_perm
+                return best_perm, best_cols
             found = frame[2]
 
 
@@ -283,9 +319,29 @@ def _relabel(g: Graph, perm: tuple[int, ...]) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
+def _graph6_of_columns(cols: list[int]) -> str:
+    """graph6 of the graph with the columns `cols` (as `_canonical_ordering`
+    hands them back): graph6 reads the upper triangle column by column, row 0
+    first, so the columns joined in order, each most significant bit first,
+    are its bit stream."""
+    n = len(cols)
+    stream = 0
+    for j in range(1, n):
+        stream = stream << j | cols[j]
+    length = n * (n - 1) // 2
+    size = -(-length // 8)
+    return graph6_from_bytes(n, (stream << (8 * size - length)).to_bytes(size, "big"))
+
+
 def canonical_key(g: Graph) -> str:
-    """Isomorphism-invariant string: graph6 of the canonical relabeling."""
-    return graph6_encode(canonical_graph(g))
+    """Isomorphism-invariant string: graph6 of the canonical relabeling.
+
+    It is read off the winning ordering's columns, with no relabeled copy
+    built, except when the refined cells are all singletons and no search
+    ran: then the copy is relabeled and encoded.
+    """
+    perm, cols = _canonical_ordering(g, _refined_cells(g))
+    return graph6_encode(_relabel(g, perm)) if cols is None else _graph6_of_columns(cols)
 
 
 def _extend(g: Graph, nbhd: int) -> Graph:
@@ -296,10 +352,16 @@ def _extend(g: Graph, nbhd: int) -> Graph:
     return Graph(n + 1, tuple(adj))
 
 
-def _extensions(g: Graph, p: int, m_lo: int, e_max: int) -> list[int]:
-    """The masks s, in increasing order, that join a new vertex to g as a
-    candidate child: the new vertex has minimum degree in g + s, the child
-    has m_lo to e_max edges, and s holds no (p-1)-clique.
+def _extensions(g: Graph, p: int, m_lo: int, e_max: int) -> list[tuple[int, int]]:
+    """(s, cover) for the masks s, in increasing order, that join a new vertex
+    to g as a candidate child: the new vertex has minimum degree in g + s,
+    the child has m_lo to e_max edges, and s holds no (p-1)-clique.
+
+    cover is `_covered(s, p - 2)`, the vertices whose neighbourhood meets s
+    in a (p-2)-clique.  s holds a (p-1)-clique exactly when a member of s
+    is one of them, so s is kept when cover & s is empty, and the same cover
+    is `_count_delta`'s term (ii).  The union stops growing once it meets s,
+    which settles that s is dropped; a kept s's cover is always whole.
 
     Only one s per orbit of g's twin swaps is listed: the one that takes
     the lowest members of each twin class.  Swapping two twins of g is an
@@ -328,14 +390,17 @@ def _extensions(g: Graph, p: int, m_lo: int, e_max: int) -> list[int]:
             for j, prefix in enumerate(prefixes)
             if d_lo <= d + j + left and d + j <= d_hi
         ]
-    return sorted(
-        s
-        for s, d in partial
-        if (d <= delta or s & low == low) and g.clique_in(s, p - 1) is None
-    )
+    kept = []
+    for s, d in partial:
+        if d <= delta or s & low == low:
+            cover = _covered(g, s, p - 2, s)
+            if not cover & s:
+                kept.append((s, cover))
+    kept.sort()
+    return kept
 
 
-def _covered(g: Graph, mask: int, k: int) -> int:
+def _covered(g: Graph, mask: int, k: int, stop: int = 0) -> int:
     """The union of the common neighbourhoods of the k-cliques inside
     `mask`: the vertices b for which mask & N(b) holds a k-clique.
 
@@ -344,17 +409,29 @@ def _covered(g: Graph, mask: int, k: int) -> int:
     lies inside every mask and its common neighbourhood is every vertex.
     Only cliques on the mask's twin representatives are listed: a member's
     false twin in the mask has its neighbourhood, so swapping it in keeps a
-    clique and its common neighbourhood, and the union is the same.
+    clique and its common neighbourhood, and the union is the same.  At
+    k = 1 the union is the OR of the mask's rows.
+
+    The listing ends as soon as the union meets `stop`, so a union that
+    meets it may be only part of the whole; one that does not is whole.
     """
     if k == 0:
         return (1 << g.n) - 1
     adj = g.adj
     out = 0
+    if k == 1:
+        while mask:
+            low = mask & -mask
+            out |= adj[low.bit_length() - 1]
+            mask ^= low
+        return out
     for clique in enumerate_cliques(g, k, g.twin_representatives(mask)):
         common = -1
         for v in clique:
             common &= adj[v]
         out |= common
+        if out & stop:
+            break
     return out
 
 
@@ -368,9 +445,10 @@ def _saturating_masks(g: Graph, p: int) -> list[int]:
     return [_covered(g, row, p - 2) & ~row & ~(1 << a) for a, row in enumerate(g.adj)]
 
 
-def _count_delta(g: Graph, sat: list[int], s: int, p: int) -> int:
+def _count_delta(g: Graph, sat: list[int], s: int, cover: int, p: int) -> int:
     """How many more p-saturating non-edges g + s has than g, given g's
-    saturating masks `sat` (a new vertex v joined to the mask s).
+    saturating masks `sat` (a new vertex v joined to the mask s) and s's
+    cover `_covered(s, p - 2)` from `_extensions`.
 
     A non-edge of g keeps its status unless both ends lie in s, where v
     joins their common neighbourhood: (i) such a pair (a, b) that was not
@@ -380,7 +458,7 @@ def _count_delta(g: Graph, sat: list[int], s: int, p: int) -> int:
     s & N(b) holds a (p-2)-clique.
 
     Each term is one popcount of a `_covered` union, with no probe per pair:
-    (ii) counts `_covered(s, p - 2) & ~s`, and (i), for each a in s, the
+    (ii) counts `cover & ~s`, and (i), for each a in s, the
     fresh pairs' ends b in `_covered(N(a) & s, p - 3)`, since a (p-3)-clique
     lies inside N(a) & N(b) & s exactly when it lies inside N(a) & s and b
     is adjacent to all of it.
@@ -391,7 +469,7 @@ def _count_delta(g: Graph, sat: list[int], s: int, p: int) -> int:
         fresh = s & ~adj[a] & ~sat[a] & -(2 << a)
         if fresh:
             delta += (fresh & _covered(g, adj[a] & s, p - 3)).bit_count()
-    return delta + (_covered(g, s, p - 2) & ~s).bit_count()
+    return delta + (cover & ~s).bit_count()
 
 
 class _Levels:
@@ -465,8 +543,8 @@ class _Levels:
                     nbhds = nbhds[:left]
                 self.spent += len(nbhds)
                 sat = _saturating_masks(g, p)
-                for s in nbhds:
-                    waiting.setdefault(count + _count_delta(g, sat, s, p), []).append((g, s))
+                for s, cover in nbhds:
+                    waiting.setdefault(count + _count_delta(g, sat, s, cover, p), []).append((g, s))
                 if not exact:
                     break
             for count in sorted(c for c in waiting if c <= bound):
@@ -475,9 +553,15 @@ class _Levels:
                     cells = _refined_cells(child)
                     if k not in cells[0]:
                         continue  # an isomorphic child whose new vertex is in cell 0 is kept
-                    cg = _relabel(child, _canonical_ordering(child, cells))
+                    perm, cols = _canonical_ordering(child, cells)
                     self.labelled += 1
-                    children.setdefault(graph6_encode(cg), (cg, count))
+                    if cols is None:
+                        cg = _relabel(child, perm)
+                        key = graph6_encode(cg)
+                    else:
+                        cg, key = None, _graph6_of_columns(cols)
+                    if key not in children:
+                        children[key] = (cg if cg is not None else _relabel(child, perm), count)
             if not exact:
                 # a cut level cannot vouch for completeness of later ones
                 return (dict(sorted(children.items())) if k == n - 1 else {}), False

@@ -119,6 +119,39 @@ def test_twin_classes_on_blowup():
     assert sorted(c.bit_count() for c in classes) == [2, 3]
 
 
+def class_walk_twin_representatives(g, mask):
+    """twin_representatives as it was before it walked the mask: every twin
+    class of the graph visited on every call."""
+    classes = g.twin_classes()
+    if len(classes) == g.n:
+        return mask
+    out = 0
+    for cls in classes:
+        hit = cls & mask
+        if hit:
+            out |= hit & -hit
+    return out
+
+
+def test_twin_representatives_match_the_class_walk():
+    rng = random.Random(7)
+    twinned = 0
+    for _ in range(400):
+        k = rng.randint(1, 10)
+        density = rng.random()
+        base = build_graph(k, [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < density])
+        # each base vertex copied 1..4 times into false twins, labels shuffled
+        owner = [b for b in range(k) for _ in range(rng.randint(1, 4))]
+        rng.shuffle(owner)
+        n = len(owner)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if base.has_edge(owner[u], owner[v])])
+        twinned += len(g.twin_classes()) < n
+        for mask in [0, g.vertices_mask()] + [rng.getrandbits(n) for _ in range(20)]:
+            reps = g.twin_representatives(mask)
+            assert reps == class_walk_twin_representatives(g, mask), (g.adj, mask)
+    assert twinned > 300
+
+
 def test_quotient_is_the_twin_class_spec(prism):
     g = build_graph(5, [(0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (1, 4)])
     q = g.quotient()

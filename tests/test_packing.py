@@ -12,7 +12,17 @@ import pytest
 
 from satedge import packing
 from satedge.constructions import blow_up, h0, h1, h2, turan_graph, turan_number
-from satedge.graph import BlowupSpec, bits, build_graph, edges_between, enumerate_cliques, induced_edges, mask_of
+from satedge.formulas import CheckFailedError
+from satedge.graph import (
+    BlowupSpec,
+    bits,
+    build_graph,
+    common_neighborhood,
+    edges_between,
+    enumerate_cliques,
+    induced_edges,
+    mask_of,
+)
 from satedge.packing import (
     DEFAULT_PACKING_BUDGET,
     BudgetExceededError,
@@ -29,7 +39,7 @@ from satedge.packing import (
     switch,
     switch_candidates,
 )
-from satedge.saturation import CliquePresentError, count_saturating
+from satedge.saturation import CliquePresentError, count_saturating, is_saturating
 from satedge.verify import random_kpfree_graph
 
 
@@ -649,6 +659,101 @@ def test_analyze_identities_random_suite():
             assert an.ell1 + an.ell2 == total
             for a in an.A:
                 assert induced_edges(g, a) == 0
+
+
+def fraction_analyze(pk, index):
+    """analyze as it was before it checked its two identities on vertex
+    counts: both sums taken over Fractions."""
+    g = pk.host
+    p = pk.p
+    n = g.n
+    ell1, ell2 = ell_split(pk)
+    clique = pk.cliques[index]
+    r_mask = mask_of(clique)
+    z_masks = packing._z_masks(pk, r_mask)
+    if z_masks[p]:
+        raise CheckFailedError(f"remainder vertices {sorted(bits(z_masks[p]))} see all of {clique}")
+    z = tuple(Fraction(m.bit_count(), n) for m in z_masks)
+    r = pk.density
+    if sum(z[:p]) != 1 - p * r:
+        raise CheckFailedError(f"sum z_j = {sum(z[:p])} differs from 1 - p r = {1 - p * r}")
+    a_masks = []
+    for i in range(p):
+        rest = r_mask ^ (1 << clique[i])
+        a_masks.append(common_neighborhood(g, rest) & pk.remainder)
+    seen = 0
+    for i, a in enumerate(a_masks):
+        if a & seen:
+            raise CheckFailedError(f"A_{i} meets an earlier attachment set")
+        if a & ~z_masks[p - 1]:
+            raise CheckFailedError(f"A_{i} is not inside Z_{p - 1}")
+        if induced_edges(g, a):
+            raise CheckFailedError(f"A_{i} is not independent")
+        seen |= a
+    a_total = sum(Fraction(a.bit_count(), n) for a in a_masks)
+    if a_total != z[p - 1]:
+        raise CheckFailedError(f"sum |A_i|/n = {a_total} differs from z_{p - 1} = {z[p - 1]}")
+    for i, a in enumerate(a_masks):
+        for u, v in combinations(bits(a), 2):
+            if not is_saturating(g, p + 1, u, v):
+                raise CheckFailedError(f"pair ({u},{v}) inside A_{i} is not saturating")
+    return packing.PackingAnalysis(clique=clique, Z=tuple(z_masks), z=z, A=tuple(a_masks), r=r, ell1=ell1, ell2=ell2)
+
+
+def _bench_hosts_seed_1():
+    """The packing-certify benchmark's 100 hosts at its seed 1: K4-free on
+    n = 12..16 vertices at the Turán count, each relabeled by a seeded
+    shuffle."""
+    rng = random.Random(1)
+    for i in range(100):
+        n = 12 + i % 5
+        g = random_kpfree_graph(n, 4, seed=1000 + i, target_edges=turan_number(n, 4))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        adj = [0] * n
+        for v, row in enumerate(g.adj):
+            adj[perm[v]] = mask_of(perm[u] for u in bits(row))
+        yield build_graph(n, [(u, v) for u in range(n) for v in bits(adj[u]) if u < v])
+
+
+def _analyzed_packings():
+    yield from (refine_packing(max_packing(g, 3)) for g in _bench_hosts_seed_1())
+    yield from (refine_packing(max_packing(h1(3, x, y).graph, 3)) for x in (1, 2) for y in range(4))
+
+
+def test_analyze_on_counts_matches_the_fraction_sums():
+    analyses = 0
+    for pk in _analyzed_packings():
+        for index in range(pk.size):
+            assert analyze(pk, index) == fraction_analyze(pk, index), (pk.host.adj, index)
+            analyses += 1
+    assert analyses > 100
+
+
+@pytest.mark.parametrize("forge", ["drop", "move"])
+def test_analyze_on_counts_keeps_its_failure_messages(monkeypatch, h1_310_packing, forge):
+    # a forged partition fails the first identity ("drop": a vertex left out
+    # of the first nonempty Z_j, j < p - 1) or only the second ("move": that
+    # vertex moved into Z_{p-1}, outside every A_i); both versions give the
+    # same message
+    z_masks = packing._z_masks
+
+    def forged(pk, clique_mask):
+        masks = z_masks(pk, clique_mask)
+        j = next(j for j in range(pk.p - 1) if masks[j])
+        low = masks[j] & -masks[j]
+        masks[j] ^= low
+        if forge == "move":
+            masks[pk.p - 1] |= low
+        return masks
+
+    monkeypatch.setattr(packing, "_z_masks", forged)
+    with pytest.raises(CheckFailedError) as new:
+        analyze(h1_310_packing, 0)
+    with pytest.raises(CheckFailedError) as old:
+        fraction_analyze(h1_310_packing, 0)
+    assert str(new.value) == str(old.value)
+    assert str(new.value).startswith("sum z_j" if forge == "drop" else "sum |A_i|/n")
 
 
 def test_analyze_n40_sparse():

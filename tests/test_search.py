@@ -17,6 +17,7 @@ from satedge.graph import (
     bits,
     build_graph,
     contains_clique,
+    enumerate_cliques,
     from_adjacency,
     graph6_decode,
     graph6_encode,
@@ -28,6 +29,7 @@ from satedge.search import (
     InfeasibleError,
     _Levels,
     _count_delta,
+    _covered,
     _deepen,
     _extend,
     _extensions,
@@ -400,6 +402,7 @@ P4_JUMP_PINS = {
         ),
     ),
     13: (9, ("L@QF~z{~F~~}~{", "LW?Wv~}~f~~}~{", "LzXd|y{v}~Z{F~", "L~zf@{}Vy~R~f}")),
+    14: (10, ("Mw@zrq~nt}Z~v}v}?",)),
 }
 
 
@@ -471,9 +474,9 @@ def tuple_signature_refined_cells(g):
     return cells
 
 
-def seeded_random_graph_upto_14(seed):
+def seeded_random_graph_upto_14(seed, n_min=1):
     rng = random.Random(seed)
-    n = rng.randint(1, 14)
+    n = rng.randint(n_min, 14)
     density = rng.choice((0.2, 0.5, 0.8))
     return build_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density])
 
@@ -513,6 +516,97 @@ def test_refined_cells_match_tuple_signature_refinement():
     )
     for g in inputs:
         assert _refined_cells(g) == tuple_signature_refined_cells(g), g.adj
+
+
+def round_by_round_refined_cells(g):
+    """_refined_cells as it was before its fast paths: every round reads
+    every cell, singletons included, and refinement stops only when no cell
+    splits."""
+    adj = g.adj
+    width = g.n.bit_length()
+    by_degree = {}
+    for v, a in enumerate(adj):
+        by_degree.setdefault(a.bit_count(), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    splitters = [sum(1 << v for v in cell) for cell in cells[:-1]]
+    while splitters:
+        refined = []
+        next_splitters = []
+        for cell in cells:
+            groups = {}
+            if len(cell) > 1:
+                for v in cell:
+                    a = adj[v]
+                    sig = 0
+                    for s in splitters:
+                        sig = sig << width | (a & s).bit_count()
+                    groups.setdefault(sig, []).append(v)
+            if len(groups) > 1:
+                split = [groups[sig] for sig in sorted(groups, reverse=True)]
+                refined.extend(split)
+                next_splitters.extend(sum(1 << v for v in piece) for piece in split[:-1])
+            else:
+                refined.append(cell)
+        cells, splitters = refined, next_splitters
+    return cells
+
+
+def test_refined_cells_fast_paths_match_round_by_round_refinement():
+    inputs = [to_bitset_graph(nxg) for nxg in nx.graph_atlas_g()]
+    inputs += [seeded_random_graph_upto_14(seed, n_min=5) for seed in range(3000)]
+    discrete = 0
+    for g in inputs:
+        cells = _refined_cells(g)
+        assert cells == round_by_round_refined_cells(g), g.adj
+        discrete += len(cells) == g.n
+    # both the early return on a discrete partition and the full rounds run
+    assert 500 < discrete < len(inputs) - 500, discrete
+
+
+def long_header_graphs():
+    """Graphs on 63..90 vertices, past graph6's one-byte header, whose
+    refinement leaves cells to search: random graphs with planted false and
+    true twins, and complete bipartite graphs."""
+    rng = random.Random(63)
+    graphs = []
+    for _ in range(12):
+        k = rng.randint(30, 50)
+        density = rng.choice((0.2, 0.5, 0.8))
+        base = build_graph(k, [(u, v) for u, v in itertools.combinations(range(k), 2) if rng.random() < density])
+        owner = list(range(k)) + [rng.randrange(k) for _ in range(rng.randint(63 - k, 90 - k))]
+        joined = [rng.random() < 0.5 for _ in range(k)]
+        rng.shuffle(owner)
+        n = len(owner)
+        edges = [
+            (u, v)
+            for u, v in itertools.combinations(range(n), 2)
+            if base.has_edge(owner[u], owner[v]) or (owner[u] == owner[v] and joined[owner[u]])
+        ]
+        graphs.append(build_graph(n, edges))
+    graphs += [to_bitset_graph(nx.complete_bipartite_graph(a, 70 - a)) for a in (1, 20, 35)]
+    return graphs
+
+
+def test_key_read_off_the_columns_matches_relabel_and_encode():
+    # the key is cut from the winning ordering's columns unless the refined
+    # cells are discrete; either way it is the graph6 of the relabeled copy
+    rng = random.Random(12)
+    inputs = [to_bitset_graph(nxg) for nxg in nx.graph_atlas_g()]
+    for _ in range(1500):
+        n = rng.randint(0, 12)
+        density = rng.choice((0.2, 0.5, 0.8))
+        inputs.append(build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density]))
+    inputs += long_header_graphs()
+    perm = list(range(1200))
+    rng.shuffle(perm)
+    inputs.append(build_graph(1200, [(perm[0], perm[v]) for v in range(1, 1200)]))
+    for g in inputs:
+        assert canonical_key(g) == graph6_encode(canonical_graph(g)), g.adj
+    # the long-header graphs all leave cells to search, and many of the
+    # small ones are discrete
+    discrete = [len(_refined_cells(g)) == g.n for g in inputs]
+    assert sum(g.n >= 63 and not d for g, d in zip(inputs, discrete)) == 16
+    assert 200 < sum(discrete) < len(inputs) - 200, sum(discrete)
 
 
 def test_canonical_key_past_the_recursion_limit():
@@ -598,7 +692,7 @@ def test_mask_filter_ordering_matches_column_lists():
     leaves = {"replaced": 0, "equal": 0}
     for g in inputs:
         cells = _refined_cells(g)
-        assert search_module._canonical_ordering(g, cells) == column_list_canonical_ordering(g, cells, leaves), g.adj
+        assert search_module._canonical_ordering(g, cells)[0] == column_list_canonical_ordering(g, cells, leaves), g.adj
     # both ways a leaf can end against an earlier best are taken
     assert leaves["replaced"] > 0 and leaves["equal"] > 0, leaves
 
@@ -786,9 +880,9 @@ def test_delta_count_matches_count_saturating(monkeypatch, search):
     # delta, and that sum must be the count of the candidate itself
     counted = []
 
-    def checked_delta(g, sat, s, p):
+    def checked_delta(g, sat, s, cover, p):
         assert sat == saturating_masks_oracle(g, p), g.adj
-        delta = _count_delta(g, sat, s, p)
+        delta = _count_delta(g, sat, s, cover, p)
         child = count_saturating(_extend(g, s), p).total
         assert child == count_saturating(g, p).total + delta, (g.adj, s, p)
         counted.append(s)
@@ -835,10 +929,10 @@ def test_row_union_counts_match_per_pair_probes_on_the_jumps(monkeypatch, n, p):
     parents, masks = {}, []
     count_delta = search_module._count_delta
 
-    def recorded_delta(g, sat, s, q):
+    def recorded_delta(g, sat, s, cover, q):
         parents.setdefault(g.adj, g)
-        masks.append((g, s))
-        return count_delta(g, sat, s, q)
+        masks.append((g, s, cover))
+        return count_delta(g, sat, s, cover, q)
 
     monkeypatch.setattr(search_module, "_count_delta", recorded_delta)
     result = min_saturating_at_jump(n, p)
@@ -848,8 +942,8 @@ def test_row_union_counts_match_per_pair_probes_on_the_jumps(monkeypatch, n, p):
     for adj, g in parents.items():
         sats[adj] = saturating_masks_by_pair(g, q)
         assert _saturating_masks(g, q) == sats[adj], adj
-    for g, s in masks:
-        assert _count_delta(g, sats[g.adj], s, q) == count_delta_by_pair(g, sats[g.adj], s, q), (g.adj, s)
+    for g, s, cover in masks:
+        assert _count_delta(g, sats[g.adj], s, cover, q) == count_delta_by_pair(g, sats[g.adj], s, q), (g.adj, s)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6])
@@ -862,7 +956,86 @@ def test_row_union_counts_match_per_pair_probes_on_random_masks(p):
         assert _saturating_masks(g, p) == sat, (g.adj, p)
         for _ in range(25):
             s = rng.getrandbits(n)
-            assert _count_delta(g, sat, s, p) == count_delta_by_pair(g, sat, s, p), (g.adj, s, p)
+            cover = _covered(g, s, p - 2)
+            assert _count_delta(g, sat, s, cover, p) == count_delta_by_pair(g, sat, s, p), (g.adj, s, p)
+
+
+def clique_probe_extensions(g, p, m_lo, e_max):
+    """_extensions as it was before it kept each mask's cover: the masks
+    alone, each kept when a clique probe finds no (p-1)-clique in it."""
+    degrees = [a.bit_count() for a in g.adj]
+    delta = min(degrees)
+    low = sum(1 << v for v, d in enumerate(degrees) if d == delta)
+    d_lo, d_hi = m_lo - g.m, min(e_max - g.m, delta + 1)
+    twins = search_module._twin_masks(g.adj)
+    partial = [(0, 0)]
+    left = g.n
+    for v, members in enumerate(twins):
+        if members & -members != 1 << v:
+            continue
+        left -= members.bit_count()
+        prefixes = [0]
+        for u in bits(members):
+            prefixes.append(prefixes[-1] | 1 << u)
+        partial = [
+            (s | prefix, d + j)
+            for s, d in partial
+            for j, prefix in enumerate(prefixes)
+            if d_lo <= d + j + left and d + j <= d_hi
+        ]
+    return sorted(s for s, d in partial if (d <= delta or s & low == low) and g.clique_in(s, p - 1) is None)
+
+
+def clique_listed_covered(g, mask, k):
+    """_covered as it was before its k = 1 row union and its early stop:
+    every k-clique on the mask's twin representatives listed, for every
+    k >= 1."""
+    if k == 0:
+        return (1 << g.n) - 1
+    out = 0
+    for clique in enumerate_cliques(g, k, g.twin_representatives(mask)):
+        common = -1
+        for v in clique:
+            common &= g.adj[v]
+        out |= common
+    return out
+
+
+@pytest.mark.parametrize("n,p", [(n, 3) for n in range(3, 12)] + [(n, 4) for n in range(4, 12)])
+def test_extensions_pair_each_mask_with_its_cover_on_the_jumps(monkeypatch, n, p):
+    # every parent the jump search expands: the kept masks are the clique
+    # probe's, each with the union `_count_delta` reads as its term (ii)
+    calls = []
+    extensions = search_module._extensions
+
+    def recorded(g, q, m_lo, e_max):
+        kept = extensions(g, q, m_lo, e_max)
+        calls.append((g, q, m_lo, e_max, kept))
+        return kept
+
+    monkeypatch.setattr(search_module, "_extensions", recorded)
+    result = min_saturating_at_jump(n, p)
+    assert result.exact and calls
+    assert sum(len(kept) for *_, kept in calls) == result.explored
+    for g, q, m_lo, e_max, kept in calls:
+        masks = clique_probe_extensions(g, q, m_lo, e_max)
+        assert kept == [(s, clique_listed_covered(g, s, q - 2)) for s in masks], (g.adj, q, m_lo, e_max)
+
+
+def test_covered_matches_clique_listing_on_random_masks():
+    rng = random.Random(5)
+    graphs = [seeded_planted_twin_graph(seed) for seed in range(40)]
+    graphs += [seeded_random_graph_upto_14(seed, n_min=5) for seed in range(60)]
+    for g in graphs:
+        for mask in [0, g.vertices_mask()] + [rng.getrandbits(g.n) for _ in range(10)]:
+            for k in range(5):
+                whole = clique_listed_covered(g, mask, k)
+                assert _covered(g, mask, k) == whole, (g.adj, mask, k)
+                # stopped at `mask`: part of the union that still meets it,
+                # or the whole union when that misses it
+                part = _covered(g, mask, k, mask)
+                assert part | whole == whole and bool(part & mask) == bool(whole & mask), (g.adj, mask, k)
+                assert part & mask or part == whole, (g.adj, mask, k)
 
 
 class LevelLog(list):
@@ -948,8 +1121,8 @@ class UnfilteredLevels(_Levels):
                     nbhds = nbhds[:left]
                 self.spent += len(nbhds)
                 sat = _saturating_masks(g, p)
-                for s in nbhds:
-                    waiting.setdefault(count + _count_delta(g, sat, s, p), []).append((g, s))
+                for s, cover in nbhds:
+                    waiting.setdefault(count + _count_delta(g, sat, s, cover, p), []).append((g, s))
                 if not exact:
                     break
             for count in sorted(c for c in waiting if c <= bound):
@@ -1053,7 +1226,7 @@ JUMP_SEEDS = {
 }
 
 
-@pytest.mark.parametrize("p,n", [(3, n) for n in range(6, 14)] + [(4, n) for n in range(6, 14)])
+@pytest.mark.parametrize("p,n", [(3, n) for n in range(6, 14)] + [(4, n) for n in range(6, 15)])
 def test_seed_hosts_meet_the_pinned_jump_minima(p, n):
     minima, witnesses = JUMP_SEEDS[p]
     joined = turan_number(n, p) - turan_number(n - 1, p)
@@ -1114,7 +1287,7 @@ def test_extensions_take_the_lowest_twins_of_each_orbit():
                 for s in every
                 if all(s & mask_of(cls) == mask_of(cls[: (s & mask_of(cls)).bit_count()]) for cls in classes)
             ]
-            kept = _extensions(g, p, m_lo, e_max)
+            kept = [s for s, _ in _extensions(g, p, m_lo, e_max)]
             assert kept == lowest, (g.adj, p, m_lo, e_max)
             if i % 4 == 0:  # one kept set per orbit loses no child class
                 assert {canonical_key(_extend(g, s)) for s in kept} == {canonical_key(_extend(g, s)) for s in every}
