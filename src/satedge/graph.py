@@ -6,14 +6,17 @@ are arbitrary precision, so masks need no fixed word layout; a configurable
 vertex cap guards against accidental huge allocations.
 
 Every clique search is one ordered enumerator, `enumerate_cliques`, which
-lists the cliques inside a mask in lexicographic order.
+lists the cliques inside a mask in lexicographic order.  Every saturating
+test is one cover, `Graph.cover`: the vertices, among those wanted, whose
+neighborhood meets a mask in a k-clique.  A non-edge uv is K_p-saturating
+exactly when v is in the cover of N(u) at k = p - 2.
 
 A `BlowupSpec` (a base graph plus one part size per base vertex) is both a
 blow-up and the one quotient type: `Graph.quotient()` has one base vertex per
 class of false twins (identical neighborhoods).  A clique uses at most one
 vertex of a class, so the clique probe `Graph.clique_in` is the enumerator's
-first clique on one representative per class, and the saturating count runs
-on the quotient's base.
+first clique on one representative per class, the cover runs on those
+representatives too, and the saturating count runs on the quotient's base.
 """
 
 from __future__ import annotations
@@ -110,6 +113,21 @@ class Graph:
         """The first k-clique inside `mask` that enumerate_cliques lists on
         the mask's twin representatives, or None."""
         return next(enumerate_cliques(self, k, self.twin_representatives(mask)), None)
+
+    def cover(self, mask: VertexSet, k: int, want: VertexSet, stop: VertexSet = 0) -> VertexSet:
+        """The members b of `want` whose neighborhood meets `mask` in a
+        k-clique (every member at k = 0): the union of the common
+        neighborhoods of the k-cliques inside `mask`, taken within `want`.
+
+        Works on the mask's twin representatives, as clique_in does: a false
+        twin has its class's neighborhood, so swapping it in keeps a clique
+        and its common neighborhood.  The result stops growing once it meets
+        `stop`, so one that meets it may be only part of the whole; one that
+        does not is whole.
+        """
+        if k == 0 or not want:
+            return want
+        return _cover(self.adj, self.twin_representatives(mask), k, want, stop)
 
     def twin_classes(self) -> tuple[VertexSet, ...]:
         """Masks of false-twin classes (identical neighborhoods), cached.
@@ -260,6 +278,47 @@ def edges_between(g: Graph, u_set: VertexSet, w_set: VertexSet) -> int:
 def induced_edges(g: Graph, mask: VertexSet) -> int:
     """Number of edges with both endpoints inside `mask`."""
     return sum((g.adj[v] & mask).bit_count() for v in bits(mask)) // 2
+
+
+def _cover(adj: tuple[int, ...], mask: VertexSet, k: int, want: VertexSet, stop: VertexSet) -> VertexSet:
+    """Graph.cover on adjacency rows, k >= 1, one recursion level per clique
+    vertex but the last.
+
+    Each vertex v of the mask, by increasing label, starts the k-cliques
+    whose lowest member it is, and only the members of `want` adjacent to v
+    and not yet covered can gain from them: v is skipped when none is left,
+    and otherwise the rest of such a clique is a (k-1)-clique of the later
+    vertices of mask & N(v) that those members see.  When one member b is
+    left, those vertices narrow to N(b) as well, which holds every clique b
+    sees.  At k = 2 the last vertex is read off directly: the members
+    adjacent to one of them.  A mask of fewer than k vertices holds no
+    k-clique.  The loop ends once the result meets `stop` or holds all of
+    `want`.
+    """
+    out = 0
+    while mask.bit_count() >= k:
+        low = mask & -mask
+        mask ^= low
+        row = adj[low.bit_length() - 1]
+        left = want & row & ~out
+        if not left:
+            continue
+        if k == 1:
+            out |= left
+        else:
+            rest = mask & row
+            if not left & (left - 1):
+                rest &= adj[left.bit_length() - 1]
+            if k > 2:
+                out |= _cover(adj, rest, k - 1, left, stop)
+            else:
+                while rest and left & ~out:
+                    low = rest & -rest
+                    rest ^= low
+                    out |= left & adj[low.bit_length() - 1]
+        if out == want or out & stop:
+            break
+    return out
 
 
 def find_clique(g: Graph, p: int) -> Optional[tuple[int, ...]]:

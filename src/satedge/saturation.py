@@ -7,9 +7,11 @@ The count over all non-edges is the graph's saturating-edge number.
 Every count runs on a quotient (`graph.BlowupSpec`): a base graph plus one
 part size per base vertex.  A graph's quotient has one base vertex per twin
 class; a blow-up spec is its own.  Parts are independent sets that share
-their neighborhood, so one probe on the base decides every vertex pair
-between two parts, and the sizes supply the weights.  A spec host is never
-materialised, so hosts far past the vertex cap can be counted.
+their neighborhood, so one decision on the base settles every vertex pair
+between two parts, and the sizes supply the weights.  The decisions for all
+the pairs of one part come from one `Graph.cover` of its neighborhood.  A
+spec host is never materialised, so hosts far past the vertex cap can be
+counted.
 """
 
 from __future__ import annotations
@@ -51,9 +53,14 @@ def is_saturating(g: Graph, p: int, u: int, v: int) -> bool:
 
 
 def _class_pairs(q: BlowupSpec, live: VertexSet, p: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """Saturating part pairs (i, j) of q with lo <= i < hi and i <= j, probed on
-    the base restricted to the non-empty parts `live`: (i, i) inside a part of
-    two or more, and (i, j) for every later part not adjacent to i."""
+    """Saturating part pairs (i, j) of q with lo <= i < hi and i <= j, decided
+    on the base restricted to the non-empty parts `live`: (i, i) inside a
+    part of two or more, and (i, j) for every later part not adjacent to i.
+
+    (i, j) is saturating when N(i) & N(j) & live holds a (p-2)-clique, that
+    is when j is in the cover of N(i) & live; so is (i, i) when i is, since
+    N(i) & live then holds one.  So one cover per part decides all its pairs.
+    """
     base, size = q.base, q.sizes
     adj = base.adj
     found: list[tuple[int, int]] = []
@@ -61,11 +68,10 @@ def _class_pairs(q: BlowupSpec, live: VertexSet, p: int, lo: int, hi: int) -> li
         if not size[i]:
             continue
         nbhd = adj[i] & live
-        if size[i] >= 2 and base.clique_in(nbhd, p - 2) is not None:
-            found.append((i, i))
-        for j in range(i + 1, len(size)):
-            if size[j] and not nbhd >> j & 1 and base.clique_in(nbhd & adj[j], p - 2) is not None:
-                found.append((i, j))
+        want = live & ~nbhd & -(2 << i)
+        if size[i] >= 2:
+            want |= 1 << i
+        found += [(i, j) for j in bits(base.cover(nbhd, p - 2, want))]
     return found
 
 
@@ -90,10 +96,12 @@ def count_saturating(host: Graph | BlowupSpec, p: int, *, edges: bool = False, t
     The host is a graph, counted on its twin-class quotient, or a blow-up
     spec, counted on its base without building the graph; listed vertices
     are those of blow_up(spec).  Refuses hosts that already contain a
-    p-clique.  A saturating part pair adds C(s, 2) inside a part of size s
-    and |A|*|B| between parts A and B.  With threads > 1 the part range is
-    split across worker processes, which receive only the quotient; results
-    are identical, and listed edges are in lexicographic order.
+    p-clique.  Each part's saturating pairs are one `Graph.cover` of its
+    neighborhood on the base.  A saturating part pair adds C(s, 2) inside a
+    part of size s and |A|*|B| between parts A and B.  With threads > 1 the
+    part range is split across worker processes, which receive only the
+    quotient; results are identical, and listed edges are in lexicographic
+    order.
     """
     if p < 3:
         raise ValueError("need p >= 3")

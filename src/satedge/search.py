@@ -21,17 +21,17 @@ the first pass that reaches every edge count of its window, and that pass
 has the exact minimum of each and all its witnesses.  A child's count is
 its parent's plus the pairs the new vertex makes saturating, so it is
 known before the child is labelled.  Both that delta and the parent's
-saturating pairs are read off one union, `_covered(mask, k)`: the
-common neighbourhoods of the k-cliques inside a mask, which is exactly the
-set of vertices b whose neighbourhood meets the mask in a k-clique.  The
-pair (a, b) is saturating when b lies in the union over N(a) at k = p - 2;
-the new vertex v's non-edges (v, b) outside its set s when b lies in the
-union over s at k = p - 2; and an old non-edge (a, b) inside s becomes
-saturating when b lies in the union over N(a) & s at k = p - 3.  So no
-pair is probed on its own.  The union over s also decides whether s may be
-joined at all: s holds a (p-1)-clique exactly when it meets its own union,
-so the extension step computes it once, as its filter, and hands it to the
-count.  A child above the bound waits
+saturating pairs are read off `Graph.cover(mask, k, want)`: the vertices b
+of `want` whose neighbourhood meets the mask in a k-clique, which is the
+union of the common neighbourhoods of the k-cliques inside the mask, taken
+within `want`.  The pair (a, b) is saturating when b is in the cover of
+N(a) at k = p - 2; the new vertex v's non-edges (v, b) outside its set s
+when b is in the cover of s at k = p - 2; and an old non-edge (a, b)
+inside s becomes saturating when b is in the cover of N(a) & s at
+k = p - 3.  So no pair is probed on its own.  The cover of s also decides
+whether s may be joined at all: s holds a (p-1)-clique exactly when it
+meets its own cover, so the extension step computes it once, as its
+filter, and hands it to the count.  A child above the bound waits
 unlabelled, filed by count, for a pass whose bound reaches it.  The passes
 of one search share one store: a pass expands only the classes it labels
 and then drops them, so each candidate is generated once per search.  A
@@ -80,7 +80,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .graph import Graph, bits, enumerate_cliques, graph6_encode, graph6_from_bytes, mask_of
+from .graph import Graph, bits, graph6_encode, graph6_from_bytes, mask_of
 from .constructions import turan_graph, turan_number
 from .formulas import CheckFailedError
 
@@ -357,11 +357,12 @@ def _extensions(g: Graph, p: int, m_lo: int, e_max: int) -> list[tuple[int, int]
     to g as a candidate child: the new vertex has minimum degree in g + s,
     the child has m_lo to e_max edges, and s holds no (p-1)-clique.
 
-    cover is `_covered(s, p - 2)`, the vertices whose neighbourhood meets s
-    in a (p-2)-clique.  s holds a (p-1)-clique exactly when a member of s
-    is one of them, so s is kept when cover & s is empty, and the same cover
-    is `_count_delta`'s term (ii).  The union stops growing once it meets s,
-    which settles that s is dropped; a kept s's cover is always whole.
+    cover is `g.cover(s, p - 2, ...)` over every vertex, the vertices whose
+    neighbourhood meets s in a (p-2)-clique.  s holds a (p-1)-clique exactly
+    when a member of s is one of them, so s is kept when cover & s is empty,
+    and the same cover is `_count_delta`'s term (ii).  The cover stops
+    growing once it meets s, which settles that s is dropped; a kept s's
+    cover is always whole.
 
     Only one s per orbit of g's twin swaps is listed: the one that takes
     the lowest members of each twin class.  Swapping two twins of g is an
@@ -390,65 +391,32 @@ def _extensions(g: Graph, p: int, m_lo: int, e_max: int) -> list[tuple[int, int]
             for j, prefix in enumerate(prefixes)
             if d_lo <= d + j + left and d + j <= d_hi
         ]
+    full = g.vertices_mask()
     kept = []
     for s, d in partial:
         if d <= delta or s & low == low:
-            cover = _covered(g, s, p - 2, s)
+            cover = g.cover(s, p - 2, full, s)
             if not cover & s:
                 kept.append((s, cover))
     kept.sort()
     return kept
 
 
-def _covered(g: Graph, mask: int, k: int, stop: int = 0) -> int:
-    """The union of the common neighbourhoods of the k-cliques inside
-    `mask`: the vertices b for which mask & N(b) holds a k-clique.
-
-    A k-clique C lies inside mask & N(b) exactly when C lies inside mask and
-    b is adjacent to all of C, so the two sets are equal.  The empty clique
-    lies inside every mask and its common neighbourhood is every vertex.
-    Only cliques on the mask's twin representatives are listed: a member's
-    false twin in the mask has its neighbourhood, so swapping it in keeps a
-    clique and its common neighbourhood, and the union is the same.  At
-    k = 1 the union is the OR of the mask's rows.
-
-    The listing ends as soon as the union meets `stop`, so a union that
-    meets it may be only part of the whole; one that does not is whole.
-    """
-    if k == 0:
-        return (1 << g.n) - 1
-    adj = g.adj
-    out = 0
-    if k == 1:
-        while mask:
-            low = mask & -mask
-            out |= adj[low.bit_length() - 1]
-            mask ^= low
-        return out
-    for clique in enumerate_cliques(g, k, g.twin_representatives(mask)):
-        common = -1
-        for v in clique:
-            common &= adj[v]
-        out |= common
-        if out & stop:
-            break
-    return out
-
-
 def _saturating_masks(g: Graph, p: int) -> list[int]:
     """sat[a]: the vertices b with (a, b) a p-saturating non-edge of g.
 
     (a, b) is saturating when N(a) & N(b) holds a (p-2)-clique, that is when
-    b lies in `_covered(N(a), p - 2)` (a itself does whenever N(a) holds
-    one, so it is taken out with a's neighbours).
+    b is in the cover of N(a) at k = p - 2, taken within a's
+    non-neighbours.
     """
-    return [_covered(g, row, p - 2) & ~row & ~(1 << a) for a, row in enumerate(g.adj)]
+    full = g.vertices_mask()
+    return [g.cover(row, p - 2, full & ~row & ~(1 << a)) for a, row in enumerate(g.adj)]
 
 
 def _count_delta(g: Graph, sat: list[int], s: int, cover: int, p: int) -> int:
     """How many more p-saturating non-edges g + s has than g, given g's
     saturating masks `sat` (a new vertex v joined to the mask s) and s's
-    cover `_covered(s, p - 2)` from `_extensions`.
+    cover at k = p - 2 from `_extensions`.
 
     A non-edge of g keeps its status unless both ends lie in s, where v
     joins their common neighbourhood: (i) such a pair (a, b) that was not
@@ -457,18 +425,18 @@ def _count_delta(g: Graph, sat: list[int], s: int, cover: int, p: int) -> int:
     (ii) The new non-edges are (v, b) for b outside s, saturating when
     s & N(b) holds a (p-2)-clique.
 
-    Each term is one popcount of a `_covered` union, with no probe per pair:
-    (ii) counts `cover & ~s`, and (i), for each a in s, the
-    fresh pairs' ends b in `_covered(N(a) & s, p - 3)`, since a (p-3)-clique
-    lies inside N(a) & N(b) & s exactly when it lies inside N(a) & s and b
-    is adjacent to all of it.
+    Each term is one popcount of a `Graph.cover`, with no probe per pair:
+    (ii) counts `cover & ~s`, and (i), for each a in s, the cover of
+    N(a) & s at k = p - 3 taken within the fresh pairs' ends b, since a
+    (p-3)-clique lies inside N(a) & N(b) & s exactly when it lies inside
+    N(a) & s and b is adjacent to all of it.
     """
     adj = g.adj
     delta = 0
     for a in bits(s):
         fresh = s & ~adj[a] & ~sat[a] & -(2 << a)
         if fresh:
-            delta += (fresh & _covered(g, adj[a] & s, p - 3)).bit_count()
+            delta += g.cover(adj[a] & s, p - 3, fresh).bit_count()
     return delta + (cover & ~s).bit_count()
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from satedge.constructions import blow_up, h0, h1, h2, modulus, trim_to_target, turan_graph, turan_number
 from satedge.formulas import exact_minimum_divisible, h1_saturating_count, h1_saturating_count_binomial
 from satedge.graph import BlowupSpec, build_graph, contains_clique
+from satedge import saturation
 from satedge.saturation import CliquePresentError, count_saturating, is_saturating
 from satedge.verify import random_kpfree_graph
 
@@ -107,6 +109,48 @@ def test_spec_count_matches_blown_up_graph(sp):
             count_saturating(spec, p, edges=True)
         return
     assert count_saturating(spec, p, edges=True) == want
+
+
+def per_pair_class_pairs(q, live, p, lo, hi):
+    """The counter's part pairs as it first found them: one clique probe per
+    part pair on the base restricted to the live parts."""
+    base, size = q.base, q.sizes
+    adj = base.adj
+    found = []
+    for i in range(lo, hi):
+        if not size[i]:
+            continue
+        nbhd = adj[i] & live
+        if size[i] >= 2 and base.clique_in(nbhd, p - 2) is not None:
+            found.append((i, i))
+        for j in range(i + 1, len(size)):
+            if size[j] and not nbhd >> j & 1 and base.clique_in(nbhd & adj[j], p - 2) is not None:
+                found.append((i, j))
+    return found
+
+
+def counted_or_refused(host, p):
+    try:
+        return count_saturating(host, p, edges=True)
+    except CliquePresentError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
+def test_count_matches_per_pair_probes(monkeypatch, p):
+    # twin-free random hosts, their blow-ups (twin-rich) and the specs
+    # themselves, some with parts of size 0 and some holding a p-clique
+    rng = random.Random(p)
+    hosts = []
+    for seed in range(40):
+        n = rng.randint(1, 30)
+        base = random_kpfree_graph(n, p + seed % 2, seed, target_edges=rng.randint(0, turan_number(n, p + 1)))
+        spec = BlowupSpec(base, tuple(rng.randint(0, 3) for _ in range(n)))
+        hosts += [base, spec, blow_up(spec)[0]]
+    reports = [counted_or_refused(host, p) for host in hosts]
+    assert any(isinstance(r, str) for r in reports) and any(not isinstance(r, str) for r in reports)
+    monkeypatch.setattr(saturation, "_class_pairs", per_pair_class_pairs)
+    assert [counted_or_refused(host, p) for host in hosts] == reports
 
 
 def test_threads_match_single():

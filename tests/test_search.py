@@ -29,7 +29,6 @@ from satedge.search import (
     InfeasibleError,
     _Levels,
     _count_delta,
-    _covered,
     _deepen,
     _extend,
     _extensions,
@@ -956,7 +955,7 @@ def test_row_union_counts_match_per_pair_probes_on_random_masks(p):
         assert _saturating_masks(g, p) == sat, (g.adj, p)
         for _ in range(25):
             s = rng.getrandbits(n)
-            cover = _covered(g, s, p - 2)
+            cover = g.cover(s, p - 2, g.vertices_mask())
             assert _count_delta(g, sat, s, cover, p) == count_delta_by_pair(g, sat, s, p), (g.adj, s, p)
 
 
@@ -987,9 +986,9 @@ def clique_probe_extensions(g, p, m_lo, e_max):
 
 
 def clique_listed_covered(g, mask, k):
-    """_covered as it was before its k = 1 row union and its early stop:
-    every k-clique on the mask's twin representatives listed, for every
-    k >= 1."""
+    """The union of the common neighbourhoods of every k-clique listed on
+    the mask's twin representatives, for every k >= 1: the cover as the
+    search first computed it, with no early stop and no `want`."""
     if k == 0:
         return (1 << g.n) - 1
     out = 0
@@ -1027,15 +1026,41 @@ def test_covered_matches_clique_listing_on_random_masks():
     graphs = [seeded_planted_twin_graph(seed) for seed in range(40)]
     graphs += [seeded_random_graph_upto_14(seed, n_min=5) for seed in range(60)]
     for g in graphs:
-        for mask in [0, g.vertices_mask()] + [rng.getrandbits(g.n) for _ in range(10)]:
+        full = g.vertices_mask()
+        for mask in [0, full] + [rng.getrandbits(g.n) for _ in range(10)]:
             for k in range(5):
                 whole = clique_listed_covered(g, mask, k)
-                assert _covered(g, mask, k) == whole, (g.adj, mask, k)
+                assert g.cover(mask, k, full) == whole, (g.adj, mask, k)
                 # stopped at `mask`: part of the union that still meets it,
                 # or the whole union when that misses it
-                part = _covered(g, mask, k, mask)
+                part = g.cover(mask, k, full, mask)
                 assert part | whole == whole and bool(part & mask) == bool(whole & mask), (g.adj, mask, k)
                 assert part & mask or part == whole, (g.adj, mask, k)
+
+
+@pytest.mark.parametrize("p", [5, 6])
+def test_cover_within_want_matches_clique_listing(p):
+    # the listed union masked to `want`, with and without `stop`, on
+    # twin-rich graphs and K_p-free hosts: a result that meets `stop` need
+    # only be part of the whole, and one that misses it is the whole
+    rng = random.Random(p)
+    twins = [seeded_planted_twin_graph(seed) for seed in range(30)]
+    graphs = twins + [complement(g) for g in twins]
+    for seed in range(30):
+        n = rng.randint(1, 24)
+        graphs.append(random_kpfree_graph(n, p, seed, target_edges=rng.randint(0, turan_number(n, p))))
+    for g in graphs:
+        full = g.vertices_mask()
+        for _ in range(12):
+            mask = rng.choice([full, rng.getrandbits(g.n)])
+            want = rng.choice([full, rng.getrandbits(g.n), 1 << rng.randrange(g.n)])
+            stop = rng.choice([0, rng.getrandbits(g.n)])
+            for k in range(6):
+                whole = clique_listed_covered(g, mask, k) & want
+                assert g.cover(mask, k, want) == whole, (g.adj, mask, k, want)
+                part = g.cover(mask, k, want, stop)
+                assert part | whole == whole and bool(part & stop) == bool(whole & stop), (g.adj, mask, k, want, stop)
+                assert part & stop or part == whole, (g.adj, mask, k, want, stop)
 
 
 class LevelLog(list):
@@ -1190,25 +1215,48 @@ def test_deepening_ends_when_no_child_waits(monkeypatch):
     assert (row.minimum, row.witnesses, row.exact, row.explored) == (None, (), True, 2)
 
 
+# p = 3 jump pins past n = 12: minimum, witnesses and `explored`
+P3_DEEP_JUMP_PINS = {
+    13: (
+        9,
+        (
+            "LNG`A\\MRc~r}f{",
+            "LNPA?{]Fd^t}j{",
+            "L]??@{}Ne^x}r{",
+            "L]??A|]Vd^t}j{",
+            "L]PAC]Mb`~f}N{",
+            "L]oxpowp}NW{@~",
+            "L_K??KE~~~^{~w",
+            "LfxACMENx~F{Nw",
+            "LlPAC]Mb`~f}N{",
+            "LsK?CME^z~N{^w",
+            "LvwWopfXrMO~`}",
+        ),
+        78171,
+    ),
+    14: (10, ("M]o?@{}N`{W~p}p}?",), 141018),
+}
+
+
+def check_deep_jump_pin(n):
+    minimum, witnesses, explored = P3_DEEP_JUMP_PINS[n]
+    result = min_saturating_at_jump(n, 3)
+    assert result.exact and result.explored == explored
+    assert result.minimum == minimum
+    assert result.witnesses == witnesses
+
+
 def test_jump_minimum_at_13():
     """A regression pin of the deepening search at n = 13, p = 3, which no
     unpruned run has checked."""
-    result = min_saturating_at_jump(13, 3)
-    assert result.exact and result.explored == 78171
-    assert result.minimum == 9
-    assert result.witnesses == (
-        "LNG`A\\MRc~r}f{",
-        "LNPA?{]Fd^t}j{",
-        "L]??@{}Ne^x}r{",
-        "L]??A|]Vd^t}j{",
-        "L]PAC]Mb`~f}N{",
-        "L]oxpowp}NW{@~",
-        "L_K??KE~~~^{~w",
-        "LfxACMENx~F{Nw",
-        "LlPAC]Mb`~f}N{",
-        "LsK?CME^z~N{^w",
-        "LvwWopfXrMO~`}",
-    )
+    check_deep_jump_pin(13)
+
+
+def test_jump_minimum_at_14():
+    """A regression pin of the deepening search at n = 14, p = 3, which no
+    unpruned run has checked; the seed-host oracle below meets it from
+    above."""
+    check_deep_jump_pin(14)
 
 
 # An upper-bound oracle for the pinned jump minima that shares nothing with
@@ -1219,14 +1267,22 @@ def test_jump_minimum_at_13():
 # every cell below some host meets the pinned minimum.
 JUMP_SEEDS = {
     3: (
-        {**JUMP_MINIMA, **{n: minimum for n, minimum, _ in P3_JUMP_PINS}, 13: 9},
-        {**JUMP_WITNESSES, **{n: witnesses for n, _, witnesses in P3_JUMP_PINS}},
+        {
+            **JUMP_MINIMA,
+            **{n: minimum for n, minimum, _ in P3_JUMP_PINS},
+            **{n: pin[0] for n, pin in P3_DEEP_JUMP_PINS.items()},
+        },
+        {
+            **JUMP_WITNESSES,
+            **{n: witnesses for n, _, witnesses in P3_JUMP_PINS},
+            **{n: pin[1] for n, pin in P3_DEEP_JUMP_PINS.items()},
+        },
     ),
     4: ({n: pin[0] for n, pin in P4_JUMP_PINS.items()}, {n: pin[1] for n, pin in P4_JUMP_PINS.items()}),
 }
 
 
-@pytest.mark.parametrize("p,n", [(3, n) for n in range(6, 14)] + [(4, n) for n in range(6, 15)])
+@pytest.mark.parametrize("p,n", [(3, n) for n in range(6, 15)] + [(4, n) for n in range(6, 15)])
 def test_seed_hosts_meet_the_pinned_jump_minima(p, n):
     minima, witnesses = JUMP_SEEDS[p]
     joined = turan_number(n, p) - turan_number(n - 1, p)
