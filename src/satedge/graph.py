@@ -54,7 +54,7 @@ class Graph:
     loops.  Construct via build_graph / from_adjacency / graph6_decode.
     """
 
-    __slots__ = ("n", "adj", "_m", "_twins", "_twin_groups")
+    __slots__ = ("n", "adj", "_m", "_twins", "_twin_groups", "_quotient")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         self.n = n
@@ -62,6 +62,7 @@ class Graph:
         self._m: Optional[int] = None
         self._twins: Optional[tuple[int, ...]] = None
         self._twin_groups: Optional[tuple[int, ...]] = None
+        self._quotient: Optional[BlowupSpec] = None
 
     @property
     def m(self) -> int:
@@ -165,11 +166,14 @@ class Graph:
 
     def quotient(self) -> "BlowupSpec":
         """The twin-class quotient: base vertex i is the i-th class of
-        twin_classes(), with that class's size.  A twin-free graph is its own
-        base."""
+        twin_classes(), with that class's size, cached.  A twin-free graph is
+        its own base; that quotient is not cached, since it would hold the
+        graph that holds it."""
         classes = self.twin_classes()
         if len(classes) == self.n:
             return BlowupSpec(self, (1,) * self.n)
+        if self._quotient is not None:
+            return self._quotient
         lows = [cls & -cls for cls in classes]  # each class's lowest member, as a bit
         index = {low: 1 << i for i, low in enumerate(lows)}
         rep_mask = sum(lows)
@@ -182,7 +186,8 @@ class Graph:
                 row |= index[bit]
                 nbrs ^= bit
             adj.append(row)
-        return BlowupSpec(Graph(len(lows), tuple(adj)), tuple(map(int.bit_count, classes)))
+        self._quotient = BlowupSpec(Graph(len(lows), tuple(adj)), tuple(map(int.bit_count, classes)))
+        return self._quotient
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj

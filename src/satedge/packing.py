@@ -6,13 +6,15 @@ size in lexicographic order, up to twin swaps the least family of every
 packed vertex set, pruned by a greedy hitting-set bound and visiting each
 (pool, packed set) state once; the maximum packing, the best-remainder
 packing and its certificate all walk it.  A certificate proves its packing
-maximum by one probe for a packing of one more clique, on the search it
-then walks.  A maximum packing's remainder has no p-clique, else one more
-would fit, so Turán's bound caps its edges and the best-remainder walk
-stops at the first family that meets the cap.
+maximum by one probe for a packing of one more clique.  A maximum packing's
+remainder has no p-clique, else one more would fit, so Turán's bound caps
+its edges: a packing whose remainder meets the cap is certified after the
+probe, with no walk, and the best-remainder walk stops at the first family
+that meets the cap.
 It keeps an explicit stack, so host size does not bound its depth.  The
 bound ranks false-twin classes, not vertices, over the p-cliques of the
-host's twin-class quotient, which each search lists once.
+host's twin-class quotient (built once per host and cached on it), which
+each search lists once.
 Beyond maximum cardinality, the machinery here supports
 the remainder-edge refinement (switch a packed clique with an equal-size
 clique outside and keep only strict remainder-edge gains), the neighbor-count
@@ -184,7 +186,9 @@ class _PackSearch:
         the product of the other classes' live sizes per clique through i.
         Twins tie, so the bound ranks classes and deletes the best class's
         lowest live member; ties go to the lowest such member, which is the
-        lowest vertex of maximum count.
+        lowest vertex of maximum count.  Every class on a kept clique meets
+        the pool, so its count is positive and a class of count 0 never
+        wins.  The live sizes are taken only once a deletion step runs.
         """
         live = [cls & pool for cls in self.classes]
         alive = 0  # the classes that meet the pool, as a mask over indices
@@ -192,7 +196,7 @@ class _PackSearch:
             if members:
                 alive |= 1 << i
         cliques = [c for cm, c in self.class_cliques if cm & alive == cm]
-        sizes = [members.bit_count() for members in live]
+        sizes: list[int] = []
         hits = 0
         while hits <= cutoff:
             self._tick()
@@ -200,14 +204,21 @@ class _PackSearch:
                 return hits
             if hits == cutoff:
                 break  # one more deletion gives cutoff + 1 whichever it is
-            counts: dict[int, int] = {}
+            if not sizes:
+                sizes = [members.bit_count() for members in live]
+            counts = [0] * len(sizes)
             for c in cliques:
                 prod = 1
                 for i in c:
                     prod *= sizes[i]
                 for i in c:
-                    counts[i] = counts.get(i, 0) + prod // sizes[i]
-            best = max(counts, key=lambda i: (counts[i], -(live[i] & -live[i])))
+                    counts[i] += prod // sizes[i]
+            best = top = low = 0
+            for i, count in enumerate(counts):
+                if count > top:
+                    best, top, low = i, count, live[i] & -live[i]
+                elif count == top and count and live[i] & -live[i] < low:
+                    best, low = i, live[i] & -live[i]
             live[best] &= live[best] - 1
             sizes[best] -= 1
             if not sizes[best]:
@@ -588,12 +599,19 @@ def certify_remainder_maximal(packing: CliquePacking, budget: int = DEFAULT_PACK
     """Compare this packing's remainder edges with the best over all
     maximum packings; return (is_globally_maximal, best_remainder_edges).
 
-    One search on one budget proves the packing maximum by _refute_larger,
-    then runs _best_remainder_walk at its size.  Blow-ups of base_graph(p)
-    certify in a few hundred nodes.
+    One search on one budget proves the packing maximum by _refute_larger.
+    A maximum packing's remainder has no p-clique, so Turán's bound caps
+    every maximum packing's remainder edges: a packing whose own remainder
+    meets the cap is certified then, with no walk.  Otherwise the search
+    runs _best_remainder_walk at its size.  Blow-ups of base_graph(p), whose
+    remainder is a Turán graph, certify in the few dozen nodes of the probe.
     """
     g = packing.host
-    search = _PackSearch(g, packing.p, budget)
+    p = packing.p
+    search = _PackSearch(g, p, budget)
     _refute_larger(search, packing)
+    edges = induced_edges(g, packing.remainder)
+    if edges == turan_number(g.n - packing.size * p, p):
+        return True, edges
     best_edges, _ = _best_remainder_walk(search, packing.size)
-    return induced_edges(g, packing.remainder) == best_edges, best_edges
+    return edges == best_edges, best_edges

@@ -78,7 +78,7 @@ new class.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graph import Graph, bits, graph6_encode, graph6_from_bytes, mask_of
 from .constructions import turan_graph, turan_number
@@ -161,19 +161,24 @@ def _refined_cells(g: Graph) -> list[list[int]]:
     return cells
 
 
-def _twin_masks(adj: tuple[int, ...]) -> list[int]:
+def _twin_masks(adj: tuple[int, ...], vertices: Iterable[int]) -> list[int]:
     """twins[v]: v's false twins (equal neighbourhoods) or true twins (equal
-    closed neighbourhoods), v included.
+    closed neighbourhoods) among `vertices`, v included, for v in
+    `vertices`; 0 at the other vertices.
 
-    No vertex has both kinds, so these are the twin classes, and swapping
-    two members of one class is an automorphism.
+    No vertex has both kinds, so over a set closed under twins these are the
+    twin classes, and swapping two members of one class is an automorphism.
     """
     open_nbhd: dict[int, int] = {}
     closed_nbhd: dict[int, int] = {}
-    for v, a in enumerate(adj):
+    for v in vertices:
+        a = adj[v]
         open_nbhd[a] = open_nbhd.get(a, 0) | 1 << v
         closed_nbhd[a | 1 << v] = closed_nbhd.get(a | 1 << v, 0) | 1 << v
-    return [open_nbhd[a] | closed_nbhd[a | 1 << v] for v, a in enumerate(adj)]
+    twins = [0] * len(adj)
+    for v in vertices:
+        twins[v] = open_nbhd[adj[v]] | closed_nbhd[adj[v] | 1 << v]
+    return twins
 
 
 def canonical_ordering(g: Graph) -> tuple[int, ...]:
@@ -216,7 +221,9 @@ def _canonical_ordering(g: Graph, cells: list[list[int]]) -> tuple[tuple[int, ..
     yet), `found` that a leaf below set a new best.  The columns of a new
     best ordering are the frames' `low`s at its leaf.  The twin classes are
     built only when a frame first moves on to a further member, so a search
-    that never backtracks to one does not build them.
+    that never backtracks to one does not build them, and only over the
+    non-singleton cells: swapping two twins is an automorphism, so twins
+    share a refined cell, and a singleton cell's frame has no further member.
     """
     n = g.n
     adj = g.adj
@@ -272,7 +279,7 @@ def _canonical_ordering(g: Graph, cells: list[list[int]]) -> tuple[tuple[int, ..
                 frame[1] = frame[2] = True
             least = frame[0]
             if least and twins is None:
-                twins = _twin_masks(adj)
+                twins = _twin_masks(adj, [v for cell in cells if len(cell) > 1 for v in cell])
             while least:
                 bit = least & -least
                 least ^= bit
@@ -373,7 +380,7 @@ def _extensions(g: Graph, p: int, m_lo: int, e_max: int) -> list[tuple[int, int]
     delta = min(degrees)
     low = sum(1 << v for v, d in enumerate(degrees) if d == delta)
     d_lo, d_hi = m_lo - g.m, min(e_max - g.m, delta + 1)
-    twins = _twin_masks(g.adj)
+    twins = _twin_masks(g.adj, range(g.n))
     # (mask, size) of the orbit representatives over the classes so far,
     # dropped once the size can no longer end in [d_lo, d_hi]
     partial = [(0, 0)]

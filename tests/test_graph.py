@@ -161,6 +161,30 @@ def test_quotient_is_the_twin_class_spec(prism):
     assert prism.quotient().sizes == (1,) * 6
 
 
+def test_quotient_is_cached_and_equals_a_fresh_build(prism):
+    # a fresh Graph on the same rows holds no cache, so its quotient is
+    # built anew; a twin-free graph's quotient, its own base, is not cached
+    rng = random.Random(11)
+    hosts = [h1(3, 1, 0).graph, h1(4, 1, 0).graph, prism]
+    for _ in range(200):
+        k = rng.randint(1, 8)
+        base = build_graph(k, [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < 0.5])
+        owner = [b for b in range(k) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(owner)
+        n = len(owner)
+        hosts.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if base.has_edge(owner[u], owner[v])]))
+    cached = 0
+    for g in hosts:
+        q = g.quotient()
+        assert q == Graph(g.n, g.adj).quotient(), g.adj
+        if len(g.twin_classes()) < g.n:
+            assert g.quotient() is q
+            cached += 1
+        else:
+            assert q.base is g and g.quotient() is not q
+    assert cached > 100
+
+
 def test_common_neighborhood(k33):
     assert common_neighborhood(k33, mask_of([0, 1])) == mask_of([3, 4, 5])
     with pytest.raises(ValueError):

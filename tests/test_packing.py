@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from satedge import packing
+from satedge import graph, packing
 from satedge.constructions import blow_up, h0, h1, h2, turan_graph, turan_number
 from satedge.formulas import CheckFailedError
 from satedge.graph import (
@@ -85,9 +85,9 @@ def test_certify_shares_the_packing_budget():
     # 16 listed quotient triangles and 20 search nodes find the optimum;
     # walking all the maximum packings takes 98 more, 12 of them nodes whose
     # (pool, packed set) state was visited before.  Certify lists the 16
-    # triangles, probes for 5 cliques in 1 node (12 vertices hold at most 4)
-    # and walks 19 nodes to the first family: the optimum packs all 12
-    # vertices, so the Turán cap on the remainder is 0 edges
+    # triangles and probes for 5 cliques in 1 node (12 vertices hold at most
+    # 4); the optimum packs all 12 vertices, so its remainder meets the
+    # Turán cap of 0 edges and no walk follows
     g = random_kpfree_graph(12, 4, seed=0)
     search = packing._PackSearch(g, 3, DEFAULT_PACKING_BUDGET)
     target = len(search.optimum())
@@ -95,9 +95,9 @@ def test_certify_shares_the_packing_budget():
     assert len(list(search.packings(target))) == 1
     assert (search.nodes, search.repeats) == (36 + 98, 12)
     pk = max_packing(g, 3, budget=100)
-    assert certify_remainder_maximal(pk, budget=16 + 1 + 19) == (True, 0)
-    with pytest.raises(BudgetExceededError, match="packing search exceeded 35 nodes"):
-        certify_remainder_maximal(pk, budget=16 + 1 + 19 - 1)
+    assert certify_remainder_maximal(pk, budget=16 + 1) == (True, 0)
+    with pytest.raises(BudgetExceededError, match="packing search exceeded 16 nodes"):
+        certify_remainder_maximal(pk, budget=16 + 1 - 1)
 
 
 def test_packing_search_work_is_pinned(h1_310, deep_host):
@@ -388,14 +388,15 @@ def test_probe_certificate_matches_optimum_walk(p):
     assert min(sides) > 0, sides
 
 
-# (h1 cell, nodes of the certify walk): V0..V_{p-1} are twin classes and
-# every maximum packing takes one vertex of each per clique, so all maximum
+# (h1 cell, nodes of certify): V0..V_{p-1} are twin classes and every
+# maximum packing takes one vertex of each per clique, so all maximum
 # packings are twin swaps of one another.  The remainder is the Turán graph
 # on its vertices (729, 600, 484, 380, 2916 and 19200 edges), which meets
-# the cap, so the walk stops at its first family
-BLOWUP_CERTIFY_NODES = [((3, 1, y), nodes) for y, nodes in enumerate((22, 37, 56, 79))] + [
-    ((3, 2, 0), 56),
-    ((4, 1, 0), 352),
+# the cap, so certify ends after the one listed quotient clique and the
+# probe for one more packed clique, with no walk
+BLOWUP_CERTIFY_NODES = [((3, 1, y), nodes) for y, nodes in enumerate((7, 9, 11, 13))] + [
+    ((3, 2, 0), 11),
+    ((4, 1, 0), 27),
 ]
 
 
@@ -411,6 +412,118 @@ def test_blowups_certify_within_budget(cell, nodes):
     with pytest.raises(BudgetExceededError):
         certify_remainder_maximal(pk, budget=nodes - 1)
     assert max_remainder_packing(g, p).cliques == pk.cliques
+
+
+def _certify_by_walk(pk):
+    """certify_remainder_maximal without the cap test: the probe for one
+    more clique, then the best-remainder walk at the packing's size."""
+    search = packing._PackSearch(pk.host, pk.p, DEFAULT_PACKING_BUDGET)
+    packing._refute_larger(search, pk)
+    best, _ = packing._best_remainder_walk(search, pk.size)
+    return induced_edges(pk.host, pk.remainder) == best, best
+
+
+def _certify_hosts(p):
+    yield from _walk_hosts(p)
+    if p == 3:
+        yield from _bench_recipe_hosts()
+        for y in range(4):
+            yield h1(3, 1, y).graph
+        yield h1(3, 2, 0).graph
+    else:
+        yield h1(4, 1, 0).graph
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_certify_by_the_cap_matches_the_walk(p):
+    # raw and refined maximum packings; packings whose remainder meets the
+    # Turán cap and packings that walk are both among those checked
+    sides = [0, 0]
+    for g in _certify_hosts(p):
+        raw = max_packing(g, p)
+        cap = turan_number(g.n - raw.size * p, p)
+        for pk in (raw, refine_packing(raw)):
+            assert certify_remainder_maximal(pk) == _certify_by_walk(pk), g.adj
+            sides[induced_edges(g, pk.remainder) == cap] += 1
+    assert min(sides) > 0, sides
+
+
+def _dict_upper_bound(search, pool, cutoff):
+    """_PackSearch.upper_bound as it was: counts in a dict, the winner by
+    max() over (count, -lowest live member).  Returns (bound, steps), one
+    step per node the search charges."""
+    live = [cls & pool for cls in search.classes]
+    alive = 0
+    for i, members in enumerate(live):
+        if members:
+            alive |= 1 << i
+    cliques = [c for cm, c in search.class_cliques if cm & alive == cm]
+    sizes = [members.bit_count() for members in live]
+    hits = steps = 0
+    while hits <= cutoff:
+        steps += 1
+        if not cliques:
+            return hits, steps
+        if hits == cutoff:
+            break
+        counts = {}
+        for c in cliques:
+            prod = 1
+            for i in c:
+                prod *= sizes[i]
+            for i in c:
+                counts[i] = counts.get(i, 0) + prod // sizes[i]
+        best = max(counts, key=lambda i: (counts[i], -(live[i] & -live[i])))
+        live[best] &= live[best] - 1
+        sizes[best] -= 1
+        if not sizes[best]:
+            cliques = [c for c in cliques if best not in c]
+        hits += 1
+    return cutoff + 1, steps
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_upper_bound_matches_the_dict_bound_call_by_call(monkeypatch, p):
+    # every bound the packing search asks for while it finds, refines and
+    # certifies packings, and bounds on random pools: same value, same nodes
+    calls = [0]
+    bound = packing._PackSearch.upper_bound
+
+    def checked(search, pool, cutoff):
+        before = search.nodes
+        got = bound(search, pool, cutoff)
+        assert (got, search.nodes - before) == _dict_upper_bound(search, pool, cutoff), (search.g.adj, pool)
+        calls[0] += 1
+        return got
+
+    monkeypatch.setattr(packing._PackSearch, "upper_bound", checked)
+    rng = random.Random(p)
+    for g in chain(_walk_hosts(p), _bench_recipe_hosts() if p == 3 else ()):
+        certify_remainder_maximal(max_packing(g, p))
+        max_remainder_packing(g, p)
+        search = packing._PackSearch(g, p, DEFAULT_PACKING_BUDGET)
+        for _ in range(3):
+            search.upper_bound(g.vertices_mask() & rng.getrandbits(g.n), rng.randrange(4))
+    assert calls[0] > 1000, calls
+
+
+def test_one_quotient_per_host(monkeypatch):
+    # max_packing, the count behind ell_split and analyze, and certify all
+    # read the host's one cached quotient
+    built = []
+    spec = graph.BlowupSpec
+
+    def counted(*args):
+        built.append(args)
+        return spec(*args)
+
+    monkeypatch.setattr(graph, "BlowupSpec", counted)
+    g = h1(3, 1, 0).graph
+    pk = refine_packing(max_packing(g, 3))
+    assert sum(ell_split(pk)) == count_saturating(g, 4).total
+    analyze(pk, 0)
+    assert certify_remainder_maximal(pk)[0]
+    assert len(built) == 1
 
 
 def _vertex_upper_bound(search, pool, cutoff, cap=512):

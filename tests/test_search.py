@@ -402,7 +402,20 @@ P4_JUMP_PINS = {
     ),
     13: (9, ("L@QF~z{~F~~}~{", "LW?Wv~}~f~~}~{", "LzXd|y{v}~Z{F~", "L~zf@{}Vy~R~f}")),
     14: (10, ("Mw@zrq~nt}Z~v}v}?",)),
+    15: (
+        13,
+        (
+            "N?KuEB~~v}^w~~~~^~_",
+            "NK??^~}~f{^~~}~}^~?",
+            "NXG_wz~~v}^wv~v~Z~_",
+            "N[a?wz~~v}^w^~^~N~_",
+            "NxGayx[~~~^{~wf~r~o",
+            "NzXb?{]n|~V{v~v~Z~_",
+        ),
+    ),
 }
+# the work counter of the deepest p = 4 cells
+P4_JUMP_EXPLORED = {14: 33876, 15: 111289}
 
 
 @pytest.mark.parametrize("n", sorted(P4_JUMP_PINS))
@@ -411,6 +424,7 @@ def test_p4_jump_minima_and_witnesses(n):
     result = min_saturating_at_jump(n, 4)
     assert result.exact
     assert (result.minimum, result.witnesses) == (minimum, witnesses)
+    assert result.explored == P4_JUMP_EXPLORED.get(n, result.explored)
     for key in witnesses:
         g = graph6_decode(key)
         assert g.n == n and g.m == turan_number(n, 4) + 1
@@ -628,7 +642,7 @@ def column_list_canonical_ordering(g, cells, leaves):
     if len(cells) == n:
         return tuple(cell[0] for cell in cells)
     slots = [cell for cell in cells for _ in cell]
-    twins = search_module._twin_masks(adj)
+    twins = search_module._twin_masks(adj, range(n))
     best_cols = None
     best_perm = None
     placed = []
@@ -694,6 +708,37 @@ def test_mask_filter_ordering_matches_column_lists():
         assert search_module._canonical_ordering(g, cells)[0] == column_list_canonical_ordering(g, cells, leaves), g.adj
     # both ways a leaf can end against an earlier best are taken
     assert leaves["replaced"] > 0 and leaves["equal"] > 0, leaves
+
+
+def test_cell_twins_label_as_whole_graph_twins(monkeypatch):
+    # twins share a refined cell, so the twins the labeller finds within the
+    # non-singleton cells are each such vertex's whole twin class (a
+    # singleton cell's vertex is never looked up), and the ordering and its
+    # columns equal those of a search handed the whole graph's twins
+    inputs = [to_bitset_graph(nxg) for nxg in nx.graph_atlas_g()]
+    inputs += [seeded_random_graph_upto_14(seed, n_min=5) for seed in range(1500)]
+    inputs += [seeded_blow_up(seed) for seed in range(600)]
+    whole_twins = search_module._twin_masks
+    built = [0, 0]
+
+    def checked(adj, vertices):
+        twins = whole_twins(adj, vertices)
+        whole = whole_twins(adj, range(len(adj)))
+        cells = _refined_cells(Graph(len(adj), adj))
+        for cell in cells:
+            for v in cell:
+                assert twins[v] == (whole[v] if len(cell) > 1 else 0), adj
+        built[0] += 1
+        built[1] += any(len(cell) == 1 for cell in cells)
+        return twins
+
+    monkeypatch.setattr(search_module, "_twin_masks", checked)
+    labels = [search_module._canonical_ordering(g, _refined_cells(g)) for g in inputs]
+    # builds with singleton cells left out, and others, are among those checked
+    assert built[0] > built[1] > 300, built
+    monkeypatch.setattr(search_module, "_twin_masks", lambda adj, vertices: whole_twins(adj, range(len(adj))))
+    for g, label in zip(inputs, labels):
+        assert search_module._canonical_ordering(g, _refined_cells(g)) == label, g.adj
 
 
 def old_class_keys(n, p, e_min, e_max):
@@ -966,7 +1011,7 @@ def clique_probe_extensions(g, p, m_lo, e_max):
     delta = min(degrees)
     low = sum(1 << v for v, d in enumerate(degrees) if d == delta)
     d_lo, d_hi = m_lo - g.m, min(e_max - g.m, delta + 1)
-    twins = search_module._twin_masks(g.adj)
+    twins = search_module._twin_masks(g.adj, range(g.n))
     partial = [(0, 0)]
     left = g.n
     for v, members in enumerate(twins):
@@ -1282,7 +1327,7 @@ JUMP_SEEDS = {
 }
 
 
-@pytest.mark.parametrize("p,n", [(3, n) for n in range(6, 15)] + [(4, n) for n in range(6, 15)])
+@pytest.mark.parametrize("p,n", [(3, n) for n in range(6, 15)] + [(4, n) for n in range(6, 16)])
 def test_seed_hosts_meet_the_pinned_jump_minima(p, n):
     minima, witnesses = JUMP_SEEDS[p]
     joined = turan_number(n, p) - turan_number(n - 1, p)
