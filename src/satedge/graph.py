@@ -54,7 +54,7 @@ class Graph:
     loops.  Construct via build_graph / from_adjacency / graph6_decode.
     """
 
-    __slots__ = ("n", "adj", "_m", "_twins", "_twin_groups", "_quotient")
+    __slots__ = ("n", "adj", "_m", "_twins", "_twin_groups", "_quotient", "_packings")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         self.n = n
@@ -63,6 +63,8 @@ class Graph:
         self._twins: Optional[tuple[int, ...]] = None
         self._twin_groups: Optional[tuple[int, ...]] = None
         self._quotient: Optional[BlowupSpec] = None
+        # p -> PackingRecord, made by the first packing search on this object
+        self._packings: Optional[dict[int, PackingRecord]] = None
 
     @property
     def m(self) -> int:
@@ -189,6 +191,17 @@ class Graph:
         self._quotient = BlowupSpec(Graph(len(lows), tuple(adj)), tuple(map(int.bit_count, classes)))
         return self._quotient
 
+    def packing_record(self, p: int) -> "PackingRecord":
+        """This graph object's record of p-clique packings, empty when first
+        asked for.  It lives on the object, never keyed by graph value: an
+        equal graph built anew starts with a record of its own."""
+        if self._packings is None:
+            self._packings = {}
+        record = self._packings.get(p)
+        if record is None:
+            record = self._packings[p] = PackingRecord()
+        return record
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -197,6 +210,21 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+@dataclass
+class PackingRecord:
+    """What the exact packing search has listed and proved on one graph
+    object at one clique size p (`Graph.packing_record`).
+
+    `cliques` holds the p-cliques of the graph's twin-class quotient, as
+    (mask, tuple) over the class indices, once a search has listed them in
+    full; `nu` holds the packing number once an exhaustive search has
+    proved it.  Both start as None.
+    """
+
+    cliques: Optional[tuple[tuple[VertexSet, tuple[int, ...]], ...]] = None
+    nu: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -6,21 +6,25 @@ size in lexicographic order, up to twin swaps the least family of every
 packed vertex set, pruned by a greedy hitting-set bound and visiting each
 (pool, packed set) state once; the maximum packing, the best-remainder
 packing and its certificate all walk it.  A certificate proves its packing
-maximum by one probe for a packing of one more clique.  A maximum packing's
-remainder has no p-clique, else one more would fit, so Turán's bound caps
-its edges: a packing whose remainder meets the cap is certified after the
-probe, with no walk, and the best-remainder walk stops at the first family
-that meets the cap.
+maximum by the packing number a maximum-packing search recorded on the same
+host object, or else by one probe for a packing of one more clique.  A
+maximum packing's remainder has no p-clique, else one more would fit, so
+Turán's bound caps its edges: a packing whose remainder meets the cap is
+certified then, with no walk, and the best-remainder walk stops at the
+first family that meets the cap.
 It keeps an explicit stack, so host size does not bound its depth.  The
 bound ranks false-twin classes, not vertices, over the p-cliques of the
-host's twin-class quotient (built once per host and cached on it), which
-each search lists once.
+host's twin-class quotient (built once per host and cached on it).  Those
+cliques are listed once per host object and kept, with the packing number
+once proved, in the host's packing record (`Graph.packing_record`), which
+every later search on that object reads.
 Beyond maximum cardinality, the machinery here supports
 the remainder-edge refinement (switch a packed clique with an equal-size
 clique outside and keep only strict remainder-edge gains), the neighbor-count
 partition Z_j of the remainder relative to one packed clique, the attachment
 sets A_i, and the split of saturating edges into packed-touching and
-remainder-internal parts.
+remainder-internal parts, weighted over the host's saturating twin-class
+pairs.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .graph import (
 )
 from .constructions import turan_defect, turan_number
 from .formulas import CheckFailedError, attachment_fraction_bound, best_clique_edge_bound
-from .saturation import count_saturating, is_saturating
+from .saturation import is_saturating, saturating_part_pairs
 
 DEFAULT_PACKING_BUDGET = 5_000_000
 
@@ -76,10 +80,18 @@ class CliquePacking:
 
     @cached_property
     def _ell_split(self) -> tuple[int, int]:
-        report = count_saturating(self.host, self.p + 1, edges=True)
-        packed = self.packed_mask
-        ell1 = sum(1 for u, v in report.edges if (1 << u | 1 << v) & packed)
-        return ell1, report.total - ell1
+        parts = self.host.twin_classes()
+        size = [part.bit_count() for part in parts]
+        kept = [(part & self.remainder).bit_count() for part in parts]
+        total = inside = 0
+        for i, j in saturating_part_pairs(self.host, self.p + 1):
+            if i == j:
+                total += size[i] * (size[i] - 1) // 2
+                inside += kept[i] * (kept[i] - 1) // 2
+            else:
+                total += size[i] * size[j]
+                inside += kept[i] * kept[j]
+        return total - inside, inside
 
     def to_json(self) -> str:
         return json.dumps(
@@ -121,7 +133,8 @@ def make_packing(host: Graph, p: int, cliques: Iterable[Iterable[int]], certifie
 
 def packing_from_json(host: Graph, text: str) -> CliquePacking:
     """Load CliquePacking.to_json's text; a packing marked certified is
-    proved maximum again by _refute_larger."""
+    proved maximum again by _refute_larger, which on a host object that
+    max_packing has run on reads the recorded packing number."""
     data = json.loads(text)
     packing = make_packing(host, data["p"], data["cliques"], bool(data.get("certified", False)))
     if "remainder" in data and mask_of(data["remainder"]) != packing.remainder:
@@ -136,7 +149,12 @@ class _PackSearch:
 
     Every listed quotient clique, every node and every upper-bound step is
     charged to one node counter against one budget, whichever caller drives
-    the enumerator.
+    the enumerator.  The quotient's p-cliques are listed once per graph
+    object and kept in its packing record (`Graph.packing_record`); a later
+    search on that object takes them from the record and is still charged
+    one node per clique, so no count or budget depends on which search
+    listed them.  optimum() writes the packing number it proves to the
+    record, and _refute_larger reads it there.
     """
 
     def __init__(self, g: Graph, p: int, budget: int):
@@ -147,20 +165,26 @@ class _PackSearch:
         self.budget = budget
         self.nodes = 0
         self.repeats = 0  # nodes of packings() whose state was visited before
-        # the host's p-cliques up to twins, as (mask, tuple) over the class
-        # indices of the twin-class quotient, class i being g.twin_classes()[i]
         self.classes = g.twin_classes()
         self.twin_class = [0] * g.n  # vertex -> mask of its twin class
         for cls in self.classes:
             for v in bits(cls):
                 self.twin_class[v] = cls
-        self.class_cliques: list[tuple[int, tuple[int, ...]]] = []
-        for c in enumerate_cliques(g.quotient().base, p):
-            self._tick()
-            self.class_cliques.append((mask_of(c), c))
+        # the host's p-cliques up to twins, as (mask, tuple) over the class
+        # indices of the twin-class quotient, class i being g.twin_classes()[i]
+        self.record = g.packing_record(p)
+        if self.record.cliques is None:
+            listed = []
+            for c in enumerate_cliques(g.quotient().base, p):
+                self._tick()
+                listed.append((mask_of(c), c))
+            self.record.cliques = tuple(listed)
+        else:
+            self._tick(len(self.record.cliques))
+        self.class_cliques = self.record.cliques
 
-    def _tick(self):
-        self.nodes += 1
+    def _tick(self, nodes: int = 1):
+        self.nodes += nodes
         if self.nodes > self.budget:
             raise BudgetExceededError(
                 f"packing search exceeded {self.budget} nodes on n={self.g.n}"
@@ -299,17 +323,31 @@ class _PackSearch:
         """The first maximum packing in enumeration order.
 
         The greedy packing is the first family of its own size; then each
-        larger size is tried until none exists.
+        larger size is tried until none exists.  That last try is
+        exhaustive, so the size found is the packing number, and it is
+        recorded on the host.
         """
         best = tuple(self.greedy())
         while (larger := next(self.packings(len(best) + 1), None)) is not None:
             best = larger
+        self.record.nu = len(best)
         return best
 
 
 def _refute_larger(search: _PackSearch, packing: CliquePacking) -> None:
-    """Raise ValueError if the search finds a packing of one more clique."""
-    if next(search.packings(packing.size + 1), None) is not None:
+    """Raise ValueError if a packing of one more clique exists.
+
+    Where an earlier optimum() on the same graph object has recorded the
+    packing number, that decides it at no node: a packing of that size
+    passes and a smaller one raises.  Otherwise the search probes for a
+    packing of one more clique.
+    """
+    nu = search.record.nu
+    if nu is None:
+        larger = next(search.packings(packing.size + 1), None) is not None
+    else:
+        larger = packing.size < nu
+    if larger:
         raise ValueError(f"packing has size {packing.size}, but a packing of size {packing.size + 1} exists")
 
 
@@ -318,7 +356,8 @@ def max_packing(g: Graph, p: int, budget: int = DEFAULT_PACKING_BUDGET) -> Cliqu
 
     The witness is the lexicographically least optimum (cliques as sorted
     tuples, the family sorted).  Raises BudgetExceededError instead of ever
-    returning an uncertified answer.
+    returning an uncertified answer.  The packing number it proves is
+    recorded on g, so certifying a packing of g later takes no probe.
     """
     return make_packing(g, p, _PackSearch(g, p, budget).optimum(), certified=True)
 
@@ -448,7 +487,12 @@ def ell_split(packing: CliquePacking) -> tuple[int, int]:
 
     Counts (p+1)-clique-saturating edges of the host, so the host must be
     K_{p+1}-free; the two parts always sum to the full count.  Counted once
-    per packing.
+    per packing, on the host's saturating twin-class pairs
+    (saturating_part_pairs), with no vertex pair listed: a saturating pair
+    of classes of sizes s, t holding r, u remainder vertices adds s*t
+    saturating edges, r*u of them inside the remainder, and one class of
+    size s holding r adds C(s, 2), C(r, 2) of them inside.  The rest touch
+    packed vertices.
     """
     return packing._ell_split
 
@@ -599,12 +643,17 @@ def certify_remainder_maximal(packing: CliquePacking, budget: int = DEFAULT_PACK
     """Compare this packing's remainder edges with the best over all
     maximum packings; return (is_globally_maximal, best_remainder_edges).
 
-    One search on one budget proves the packing maximum by _refute_larger.
-    A maximum packing's remainder has no p-clique, so Turán's bound caps
-    every maximum packing's remainder edges: a packing whose own remainder
-    meets the cap is certified then, with no walk.  Otherwise the search
-    runs _best_remainder_walk at its size.  Blow-ups of base_graph(p), whose
-    remainder is a Turán graph, certify in the few dozen nodes of the probe.
+    One search on one budget proves the packing maximum by _refute_larger:
+    on a host that max_packing has run on, from the recorded packing
+    number, else by the probe.  The search lists no clique again there: it
+    takes the quotient's cliques from the host's record, charged one node
+    each.  A maximum packing's remainder has no p-clique, so Turán's bound
+    caps every maximum packing's remainder edges: a packing whose own
+    remainder meets the cap is certified then, with no walk.  Otherwise the
+    search runs _best_remainder_walk at its size.  Blow-ups of
+    base_graph(p), whose remainder is a Turán graph, certify in the nodes
+    of their listed quotient cliques after max_packing, and in the few
+    dozen nodes of the probe on a fresh host.
     """
     g = packing.host
     p = packing.p

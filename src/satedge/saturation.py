@@ -11,7 +11,8 @@ their neighborhood, so one decision on the base settles every vertex pair
 between two parts, and the sizes supply the weights.  The decisions for all
 the pairs of one part come from one `Graph.cover` of its neighborhood.  A
 spec host is never materialised, so hosts far past the vertex cap can be
-counted.
+counted.  `saturating_part_pairs` hands out the decided part pairs
+themselves, for a split of the count by any subsets of the parts.
 """
 
 from __future__ import annotations
@@ -75,6 +76,38 @@ def _class_pairs(q: BlowupSpec, live: VertexSet, p: int, lo: int, hi: int) -> li
     return found
 
 
+def _live_parts(host: Graph | BlowupSpec, q: BlowupSpec, p: int) -> VertexSet:
+    """The non-empty parts of the host's quotient q, as a mask over its base;
+    raises CliquePresentError, naming each part's lowest vertex, when the
+    host holds a p-clique."""
+    size = q.sizes
+    live = mask_of(i for i in range(len(size)) if size[i])
+    witness = q.base.clique_in(live, p)
+    if witness is not None:
+        parts = _parts(host)
+        lowest = tuple((parts[i] & -parts[i]).bit_length() - 1 for i in witness)
+        raise CliquePresentError(f"graph already contains a {p}-clique {lowest}")
+    return live
+
+
+def saturating_part_pairs(host: Graph | BlowupSpec, p: int) -> list[tuple[int, int]]:
+    """The saturating part pairs of a host, as (i, j) with i <= j in
+    lexicographic order over its quotient's parts.
+
+    Part i is the i-th twin class of a graph (`Graph.twin_classes()`) or the
+    i-th part of a blow-up spec.  (i, i) means every pair of vertices inside
+    part i is p-clique-saturating, (i, j) every pair between parts i and j;
+    no other vertex pair is.  So a count weights each pair by part sizes,
+    C(s, 2) inside a part of size s and |A|*|B| between parts A and B, and
+    any split of the count weights them by the parts' own subsets.  Refuses
+    hosts that already contain a p-clique, as count_saturating does.
+    """
+    if p < 3:
+        raise ValueError("need p >= 3")
+    q = host.quotient() if isinstance(host, Graph) else host
+    return _class_pairs(q, _live_parts(host, q, p), p, 0, len(q.sizes))
+
+
 def _parts(host: Graph | BlowupSpec) -> tuple[VertexSet, ...]:
     """The host's vertex masks per quotient vertex: twin classes or blow-up ranges."""
     return host.twin_classes() if isinstance(host, Graph) else host.parts
@@ -97,11 +130,11 @@ def count_saturating(host: Graph | BlowupSpec, p: int, *, edges: bool = False, t
     spec, counted on its base without building the graph; listed vertices
     are those of blow_up(spec).  Refuses hosts that already contain a
     p-clique.  Each part's saturating pairs are one `Graph.cover` of its
-    neighborhood on the base.  A saturating part pair adds C(s, 2) inside a
-    part of size s and |A|*|B| between parts A and B.  With threads > 1 the
-    part range is split across worker processes, which receive only the
-    quotient; results are identical, and listed edges are in lexicographic
-    order.
+    neighborhood on the base: the pairs saturating_part_pairs lists.  A
+    saturating part pair adds C(s, 2) inside a part of size s and |A|*|B|
+    between parts A and B.  With threads > 1 the part range is split across
+    worker processes, which receive only the quotient; results are
+    identical, and listed edges are in lexicographic order.
     """
     if p < 3:
         raise ValueError("need p >= 3")
@@ -110,12 +143,7 @@ def count_saturating(host: Graph | BlowupSpec, p: int, *, edges: bool = False, t
     q = host.quotient() if isinstance(host, Graph) else host
     size = q.sizes
     k = len(size)
-    live = mask_of(i for i in range(k) if size[i])
-    witness = q.base.clique_in(live, p)
-    if witness is not None:
-        parts = _parts(host)
-        lowest = tuple((parts[i] & -parts[i]).bit_length() - 1 for i in witness)
-        raise CliquePresentError(f"graph already contains a {p}-clique {lowest}")
+    live = _live_parts(host, q, p)
     if threads == 1 or k < 64:
         found = _class_pairs(q, live, p, 0, k)
     else:

@@ -185,6 +185,19 @@ def test_quotient_is_cached_and_equals_a_fresh_build(prism):
     assert cached > 100
 
 
+def test_packing_record_lives_on_the_object(prism):
+    # one record per p, empty until filled, and never shared with an equal
+    # graph built anew
+    record = prism.packing_record(3)
+    assert (record.cliques, record.nu) == (None, None)
+    assert prism.packing_record(3) is record
+    assert prism.packing_record(4) is not record
+    record.nu = 2
+    twin = Graph(prism.n, prism.adj)
+    assert twin == prism
+    assert twin.packing_record(3).nu is None
+
+
 def test_common_neighborhood(k33):
     assert common_neighborhood(k33, mask_of([0, 1])) == mask_of([3, 4, 5])
     with pytest.raises(ValueError):

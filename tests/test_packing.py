@@ -84,10 +84,13 @@ def test_max_packing_budget_error(h1_310):
 def test_certify_shares_the_packing_budget():
     # 16 listed quotient triangles and 20 search nodes find the optimum;
     # walking all the maximum packings takes 98 more, 12 of them nodes whose
-    # (pool, packed set) state was visited before.  Certify lists the 16
-    # triangles and probes for 5 cliques in 1 node (12 vertices hold at most
-    # 4); the optimum packs all 12 vertices, so its remainder meets the
-    # Turán cap of 0 edges and no walk follows
+    # (pool, packed set) state was visited before.  On a fresh copy of the
+    # host, certify lists the 16 triangles and probes for 5 cliques in 1 node
+    # (12 vertices hold at most 4); on the host max_packing ran on, it takes
+    # the 16 triangles from the host's record, still charged one node each,
+    # and the recorded packing number replaces the probe.  The optimum packs
+    # all 12 vertices, so its remainder meets the Turán cap of 0 edges and no
+    # walk follows
     g = random_kpfree_graph(12, 4, seed=0)
     search = packing._PackSearch(g, 3, DEFAULT_PACKING_BUDGET)
     target = len(search.optimum())
@@ -95,9 +98,13 @@ def test_certify_shares_the_packing_budget():
     assert len(list(search.packings(target))) == 1
     assert (search.nodes, search.repeats) == (36 + 98, 12)
     pk = max_packing(g, 3, budget=100)
-    assert certify_remainder_maximal(pk, budget=16 + 1) == (True, 0)
+    assert certify_remainder_maximal(pk, budget=16) == (True, 0)
+    with pytest.raises(BudgetExceededError, match="packing search exceeded 15 nodes"):
+        certify_remainder_maximal(pk, budget=16 - 1)
+    fresh = make_packing(_fresh_copy(g), 3, pk.cliques, certified=True)
+    assert certify_remainder_maximal(fresh, budget=16 + 1) == (True, 0)
     with pytest.raises(BudgetExceededError, match="packing search exceeded 16 nodes"):
-        certify_remainder_maximal(pk, budget=16 + 1 - 1)
+        certify_remainder_maximal(fresh, budget=16 + 1 - 1)
 
 
 def test_packing_search_work_is_pinned(h1_310, deep_host):
@@ -388,35 +395,43 @@ def test_probe_certificate_matches_optimum_walk(p):
     assert min(sides) > 0, sides
 
 
-# (h1 cell, nodes of certify): V0..V_{p-1} are twin classes and every
-# maximum packing takes one vertex of each per clique, so all maximum
-# packings are twin swaps of one another.  The remainder is the Turán graph
-# on its vertices (729, 600, 484, 380, 2916 and 19200 edges), which meets
-# the cap, so certify ends after the one listed quotient clique and the
-# probe for one more packed clique, with no walk
-BLOWUP_CERTIFY_NODES = [((3, 1, y), nodes) for y, nodes in enumerate((7, 9, 11, 13))] + [
-    ((3, 2, 0), 11),
-    ((4, 1, 0), 27),
+# (h1 cell, nodes of certify on the host max_packing ran on, on a fresh
+# copy of it): V0..V_{p-1} are twin classes and every maximum packing takes
+# one vertex of each per clique, so all maximum packings are twin swaps of
+# one another.  The remainder is the Turán graph on its vertices (729, 600,
+# 484, 380, 2916 and 19200 edges), which meets the cap, so no walk follows.
+# On the host max_packing ran on, certify is charged only the one quotient
+# clique it takes from the host's record; the recorded packing number
+# replaces the probe.  On a fresh copy it lists that clique and probes for
+# one more packed clique
+BLOWUP_CERTIFY_NODES = [((3, 1, y), 1, nodes) for y, nodes in enumerate((7, 9, 11, 13))] + [
+    ((3, 2, 0), 1, 11),
+    ((4, 1, 0), 1, 27),
 ]
 
 
 @pytest.mark.parametrize(
-    "cell,nodes", BLOWUP_CERTIFY_NODES, ids=[".".join(map(str, cell)) for cell, _ in BLOWUP_CERTIFY_NODES]
+    "cell,recorded,fresh",
+    BLOWUP_CERTIFY_NODES,
+    ids=[".".join(map(str, cell)) for cell, _, _ in BLOWUP_CERTIFY_NODES],
 )
-def test_blowups_certify_within_budget(cell, nodes):
+def test_blowups_certify_within_budget(cell, recorded, fresh):
     g = h1(*cell).graph
     p = cell[0]
     pk = max_packing(g, p)
-    assert induced_edges(g, pk.remainder) == turan_number(g.n - pk.size * p, p)
-    assert certify_remainder_maximal(pk, budget=nodes) == (True, induced_edges(g, pk.remainder))
-    with pytest.raises(BudgetExceededError):
-        certify_remainder_maximal(pk, budget=nodes - 1)
+    edges = induced_edges(g, pk.remainder)
+    assert edges == turan_number(g.n - pk.size * p, p)
+    copy = make_packing(_fresh_copy(g), p, pk.cliques, certified=True)
+    for packed, nodes in ((pk, recorded), (copy, fresh)):
+        assert certify_remainder_maximal(packed, budget=nodes) == (True, edges)
+        with pytest.raises(BudgetExceededError):
+            certify_remainder_maximal(packed, budget=nodes - 1)
     assert max_remainder_packing(g, p).cliques == pk.cliques
 
 
 def _certify_by_walk(pk):
-    """certify_remainder_maximal without the cap test: the probe for one
-    more clique, then the best-remainder walk at the packing's size."""
+    """certify_remainder_maximal without the cap test: _refute_larger, then
+    the best-remainder walk at the packing's size."""
     search = packing._PackSearch(pk.host, pk.p, DEFAULT_PACKING_BUDGET)
     packing._refute_larger(search, pk)
     best, _ = packing._best_remainder_walk(search, pk.size)
@@ -446,6 +461,92 @@ def test_certify_by_the_cap_matches_the_walk(p):
             assert certify_remainder_maximal(pk) == _certify_by_walk(pk), g.adj
             sides[induced_edges(g, pk.remainder) == cap] += 1
     assert min(sides) > 0, sides
+
+
+def _fresh_copy(g):
+    """An equal graph decoded anew: a host object no packing search has
+    run on."""
+    return graph.graph6_decode(graph.graph6_encode(g))
+
+
+@pytest.mark.parametrize("p", [3, 4])
+def test_recorded_packing_number_certifies_as_the_probe_does(p):
+    # certify on the host max_packing ran on, where the recorded packing
+    # number stands in for the probe and the quotient cliques come from the
+    # host's record, against certify on a fresh decode, which lists the
+    # cliques and probes: raw and refined packings.  Every packing one
+    # clique short is refused with one message on both hosts, by certify
+    # and by packing_from_json with "certified": true
+    short = 0
+    for g in _certify_hosts(p):
+        raw = max_packing(g, p)
+        record = g.packing_record(p)
+        assert record.nu == raw.size and record.cliques is not None, g.adj
+        for pk in (raw, refine_packing(raw)):
+            copy = make_packing(_fresh_copy(g), p, pk.cliques, certified=True)
+            assert copy.host.packing_record(p).nu is None
+            assert certify_remainder_maximal(pk) == certify_remainder_maximal(copy), g.adj
+        for k in range(raw.size):
+            cliques = raw.cliques[:k] + raw.cliques[k + 1:]
+            text = json.dumps({"p": p, "cliques": [list(c) for c in cliques], "certified": True})
+            messages = set()
+            for host in (g, _fresh_copy(g)):
+                with pytest.raises(ValueError) as certified:
+                    certify_remainder_maximal(make_packing(host, p, cliques, certified=True))
+                with pytest.raises(ValueError) as loaded:
+                    packing_from_json(host, text)
+                messages |= {str(certified.value), str(loaded.value)}
+            assert messages == {f"packing has size {raw.size - 1}, but a packing of size {raw.size} exists"}, g.adj
+            short += 1
+    assert short > 100, short
+
+
+def _listed_ell_split(pk):
+    """ell_split as it was: every saturating vertex pair listed by
+    count_saturating(edges=True), split by whether it meets a packed
+    vertex."""
+    report = count_saturating(pk.host, pk.p + 1, edges=True)
+    packed = pk.packed_mask
+    ell1 = sum(1 for u, v in report.edges if (1 << u | 1 << v) & packed)
+    return ell1, report.total - ell1
+
+
+def _split_or_refusal(split, pk):
+    try:
+        return split(pk)
+    except CliquePresentError as refusal:
+        return str(refusal)
+
+
+def _ell_split_hosts(p):
+    if p < 5:
+        yield from _certify_hosts(p)
+    for seed in range(15):
+        n = 8 + seed % 8
+        yield random_kpfree_graph(n, p + 1, seed=400 + seed)
+        yield random_kpfree_graph(n, p + 1, seed=500 + seed, target_edges=turan_number(n, p + 1))
+        yield _planted_twin_host(seed, 5 + seed % 3, p, max_n=16)
+        # K_{p+2}-free, so often holding a K_{p+1}: ell_split refuses it
+        yield random_kpfree_graph(n, p + 2, seed=600 + seed, target_edges=turan_number(n, p + 2))
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_ell_split_on_part_pairs_matches_the_vertex_pair_listing(p):
+    # raw, refined and empty packings on the walk and certify hosts (the
+    # atlas, random and planted-twin hosts, the bench-recipe hosts and the
+    # h1 blow-ups) and on random hosts; a host holding a K_{p+1} raises
+    # CliquePresentError with the listing's message
+    refused = split = 0
+    for g in _ell_split_hosts(p):
+        raw = max_packing(g, p)
+        for pk in (raw, refine_packing(raw), make_packing(g, p, [])):
+            got = _split_or_refusal(ell_split, pk)
+            assert got == _split_or_refusal(_listed_ell_split, pk), g.adj
+            if isinstance(got, str):
+                refused += 1
+            else:
+                split += 1
+    assert refused > 0 and split > 0, (refused, split)
 
 
 def _dict_upper_bound(search, pool, cutoff):
@@ -880,8 +981,8 @@ def test_analyze_n40_sparse():
 def test_analyze_counts_once_per_packing(monkeypatch):
     pk = refine_packing(max_packing(h1(3, 1, 0).graph, 3))
     calls = []
-    count = packing.count_saturating
-    monkeypatch.setattr(packing, "count_saturating", lambda *args, **kw: calls.append(args) or count(*args, **kw))
+    pairs = packing.saturating_part_pairs
+    monkeypatch.setattr(packing, "saturating_part_pairs", lambda *args: calls.append(args) or pairs(*args))
     for index in range(pk.size):
         analyze(pk, index)
     assert pk.size == 4

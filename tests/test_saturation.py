@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from satedge.constructions import blow_up, h0, h1, h2, modulus, trim_to_target, turan_graph, turan_number
 from satedge.formulas import exact_minimum_divisible, h1_saturating_count, h1_saturating_count_binomial
-from satedge.graph import BlowupSpec, build_graph, contains_clique
+from satedge.graph import BlowupSpec, bits, build_graph, contains_clique
 from satedge import saturation
-from satedge.saturation import CliquePresentError, count_saturating, is_saturating
+from satedge.saturation import CliquePresentError, count_saturating, is_saturating, saturating_part_pairs
 from satedge.verify import random_kpfree_graph
 
 from conftest import kpfree_graph_strategy, planted_twin_strategy
@@ -109,6 +109,38 @@ def test_spec_count_matches_blown_up_graph(sp):
             count_saturating(spec, p, edges=True)
         return
     assert count_saturating(spec, p, edges=True) == want
+
+
+def pairs_or_refusal(listing, host, p):
+    try:
+        return listing(host, p)
+    except CliquePresentError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec_strategy())
+def test_part_pairs_spell_out_the_listed_edges(sp):
+    # (i, i) stands for every vertex pair inside part i and (i, j) for every
+    # pair between parts i and j: together they are exactly the edges
+    # count_saturating lists, on a spec and on its blown-up graph, and a
+    # host holding a p-clique is refused with the count's message
+    spec, p = sp
+    g, _ = blow_up(spec)
+    for host, parts in ((spec, spec.parts), (g, g.twin_classes())):
+        pairs = pairs_or_refusal(saturating_part_pairs, host, p)
+        report = pairs_or_refusal(lambda h, q: count_saturating(h, q, edges=True), host, p)
+        if isinstance(report, str):
+            assert pairs == report
+            continue
+        assert pairs == sorted(set(pairs)) and all(i <= j for i, j in pairs)
+        edges = {(min(u, v), max(u, v)) for i, j in pairs for u in bits(parts[i]) for v in bits(parts[j]) if u != v}
+        assert sorted(edges) == list(report.edges)
+
+
+def test_part_pairs_validate_p(k33):
+    with pytest.raises(ValueError, match="need p >= 3"):
+        saturating_part_pairs(k33, 2)
 
 
 def per_pair_class_pairs(q, live, p, lo, hi):
